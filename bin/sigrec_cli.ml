@@ -138,35 +138,75 @@ let print_report_text ~explain (report : Sigrec.Engine.report) =
 let print_stats_json stats =
   print_endline (Printf.sprintf "{\"stats\":%s}" (Sigrec.Stats.to_json stats))
 
-let recover_cmd config input show_stats explain format trace =
-  let bytecode = read_bytecode input in
-  let engine = Sigrec.Engine.make config in
-  let report =
-    with_trace trace (fun () -> Sigrec.Engine.recover engine bytecode)
-  in
-  (match format with
-  | `Json -> print_endline (Sigrec.Render.report report)
-  | `Text -> print_report_text ~explain report);
-  if show_stats then begin
-    match format with
-    | `Text -> print_rule_stats (Sigrec.Engine.stats engine)
-    | `Json -> print_stats_json (Sigrec.Engine.stats engine)
-  end;
-  match
-    List.find_opt
-      (function Sigrec.Engine.Failed _ -> true | _ -> false)
-      report.Sigrec.Engine.outcomes
-  with
-  | Some _ -> 1
-  | None -> 0
+(* How the CLI shows one engine product: its answers in each format and
+   its --stats footer in text mode. *)
+type 'a shown = {
+  product : 'a Sigrec.Engine.product;
+  json : 'a -> string;
+  text : 'a -> unit;
+  stats_text : Sigrec.Stats.t -> unit;
+}
 
-(* Streamed batch: contracts flow from the input channel through the
-   engine's streaming session and out as they are recovered — at most
-   one internal batch of bytecodes is resident, so a 10^5-contract
-   corpus runs in constant memory. Reports still print in input
-   order. *)
+let print_hashed hash from_cache pp v =
+  Format.printf "code hash 0x%s%s@.%a@." hash
+    (if from_cache then " (cached)" else "")
+    pp v
+
+let reports =
+  {
+    product = Sigrec.Engine.reports;
+    json = Sigrec.Render.report;
+    text = (fun r -> Format.printf "%a@." Sigrec.Engine.pp_report r);
+    stats_text = print_rule_stats;
+  }
+
+let layouts =
+  {
+    product = Sigrec.Engine.layouts;
+    json = Sigrec.Render.layout_report;
+    text =
+      (fun r ->
+        print_hashed r.Sigrec.Engine.layout_code_hash
+          r.Sigrec.Engine.layout_from_cache Sigrec_layout.Layout.pp
+          r.Sigrec.Engine.layout);
+    stats_text =
+      (fun stats ->
+        Format.printf "layouts: %d recovered, %d slots (%d unresolved ops)@."
+          (Sigrec.Stats.layouts_recovered stats)
+          (Sigrec.Stats.layout_slots stats)
+          (Sigrec.Stats.layout_unknown_ops stats));
+  }
+
+let verdicts =
+  {
+    product = Sigrec.Engine.verdicts;
+    json = Sigrec.Render.classify_report;
+    text =
+      (fun r ->
+        print_hashed r.Sigrec.Engine.classify_code_hash
+          r.Sigrec.Engine.classify_from_cache Sigrec_classify.Classify.pp
+          r.Sigrec.Engine.verdict);
+    stats_text =
+      (fun stats ->
+        Format.printf
+          "classify: %d verdicts (%d exact / %d partial / %d unknown), %d \
+           probes, %d cache hits@."
+          (Sigrec.Stats.classifications stats)
+          (Sigrec.Stats.classify_exact stats)
+          (Sigrec.Stats.classify_partial stats)
+          (Sigrec.Stats.classify_unknown stats)
+          (Sigrec.Stats.classify_probes stats)
+          (Sigrec.Stats.classify_cache_hits stats));
+  }
+
+let print_stats shown engine ~show_stats format =
+  if show_stats then
+    match format with
+    | `Text -> shown.stats_text (Sigrec.Engine.stats engine)
+    | `Json -> print_stats_json (Sigrec.Engine.stats engine)
+
 (* Census heartbeat on stderr — never stdout, which may be carrying
-   --format json report lines. *)
+   --format json answer lines. *)
 let print_progress (p : Sigrec.Engine.Stream.progress) =
   let eta =
     match p.Sigrec.Engine.Stream.eta_ns with
@@ -185,42 +225,92 @@ let print_progress (p : Sigrec.Engine.Stream.progress) =
        /. float_of_int p.Sigrec.Engine.Stream.contracts)
     p.Sigrec.Engine.Stream.rate p.Sigrec.Engine.Stream.heap_mb eta
 
-let batch_stream_cmd config input show_stats format trace progress =
+(* The one body of [batch], [layout] and [classify]: answer every code of
+   [input] through the product's batch path and print the answers in
+   input order. The codes come from one bytecode file ([`One]), a list
+   file read whole ([`List]), or a list streamed through an
+   [Engine.Stream] session ([`Stream]) — at most one internal batch of
+   bytecodes resident, so a 10^5-contract corpus runs in constant
+   memory. Returns the engine, the number of contracts answered and,
+   when streamed, the reader's line totals. *)
+let answer shown config input ~source ~format ~trace ?progress () =
   let engine = Sigrec.Engine.make config in
-  let print_report r =
+  let emit a =
     match format with
-    | `Json -> print_endline (Sigrec.Render.report r)
-    | `Text -> Format.printf "%a@." Sigrec.Engine.pp_report r
+    | `Json -> print_endline (shown.json a)
+    | `Text -> shown.text a
   in
   let contracts, totals =
     with_trace trace (fun () ->
-        with_input_channel input (fun ic ->
-            let session =
-              Sigrec.Engine.Stream.start
-                ?progress:(if progress then Some print_progress else None)
-                engine ~emit:print_report
-            in
-            let (), totals =
-              Sigrec.Input.fold_lines ~warn:(warn_malformed input)
-                ~f:(fun () code -> Sigrec.Engine.Stream.feed session code)
-                () ic
-            in
-            (Sigrec.Engine.Stream.finish session, totals)))
+        match source with
+        | (`One | `List) as source ->
+          let codes =
+            if source = `One then [ read_bytecode input ]
+            else read_bytecode_list input
+          in
+          List.iter emit (Sigrec.Engine.run_all shown.product engine codes);
+          (List.length codes, None)
+        | `Stream ->
+          with_input_channel input (fun ic ->
+              let session =
+                Sigrec.Engine.Stream.start_product shown.product ?progress
+                  engine ~emit
+              in
+              let (), totals =
+                Sigrec.Input.fold_lines ~warn:(warn_malformed input)
+                  ~f:(fun () code -> Sigrec.Engine.Stream.feed session code)
+                  () ic
+              in
+              let contracts = Sigrec.Engine.Stream.finish session in
+              Sigrec.Engine.add_stream_lines engine
+                ~lines:totals.Sigrec.Input.lines
+                ~skipped:totals.Sigrec.Input.skipped;
+              (contracts, Some totals)))
+  in
+  (engine, contracts, totals)
+
+let recover_cmd config input show_stats explain format trace =
+  let bytecode = read_bytecode input in
+  let engine = Sigrec.Engine.make config in
+  let report =
+    with_trace trace (fun () -> Sigrec.Engine.recover engine bytecode)
+  in
+  (match format with
+  | `Json -> print_endline (Sigrec.Render.report report)
+  | `Text -> print_report_text ~explain report);
+  print_stats reports engine ~show_stats format;
+  match
+    List.find_opt
+      (function Sigrec.Engine.Failed _ -> true | _ -> false)
+      report.Sigrec.Engine.outcomes
+  with
+  | Some _ -> 1
+  | None -> 0
+
+let batch_cmd config input show_stats format trace stream progress =
+  if progress && not stream then
+    Printf.eprintf "sigrec: --progress has no effect without --stream\n%!";
+  let engine, contracts, totals =
+    answer reports config input
+      ~source:(if stream then `Stream else `List)
+      ~format ~trace
+      ?progress:(if progress then Some print_progress else None)
+      ()
   in
   let stats = Sigrec.Engine.stats engine in
-  Sigrec.Stats.add_stream_lines stats ~lines:totals.Sigrec.Input.lines
-    ~skipped:totals.Sigrec.Input.skipped;
-  (* The summary is unconditional — census scripts parse the final line
-     of a streamed run, so it must exist even for zero-line input. *)
-  (match format with
-  | `Text ->
+  let distinct = Sigrec.Stats.cache_misses stats
+  and cached = Sigrec.Stats.cache_hits stats in
+  (* The stream summary is unconditional — census scripts parse the
+     final line of a streamed run, so it must exist even for zero-line
+     input. *)
+  (match (totals, format) with
+  | Some totals, `Text ->
     Format.printf
       "@.stream: %d contracts over %d lines (%d skipped), %d distinct \
        analyses, %d answered from cache@."
-      contracts totals.Sigrec.Input.lines totals.Sigrec.Input.skipped
-      (Sigrec.Stats.cache_misses stats)
-      (Sigrec.Stats.cache_hits stats)
-  | `Json ->
+      contracts totals.Sigrec.Input.lines totals.Sigrec.Input.skipped distinct
+      cached
+  | Some totals, `Json ->
     print_endline
       (Sigrec.Json.obj
          [
@@ -230,160 +320,34 @@ let batch_stream_cmd config input show_stats format trace progress =
                  ("contracts", string_of_int contracts);
                  ("lines", string_of_int totals.Sigrec.Input.lines);
                  ("skipped", string_of_int totals.Sigrec.Input.skipped);
-                 ("distinct", string_of_int (Sigrec.Stats.cache_misses stats));
-                 ("cached", string_of_int (Sigrec.Stats.cache_hits stats));
+                 ("distinct", string_of_int distinct);
+                 ("cached", string_of_int cached);
                ] );
-         ]));
-  if show_stats then begin
-    match format with
-    | `Text -> print_rule_stats stats
-    | `Json -> print_stats_json stats
-  end;
+         ])
+  | None, `Text when show_stats ->
+    Format.printf "@.batch: %d contracts, %d distinct analyses, %d cache hits@."
+      contracts distinct cached
+  | None, _ -> ());
+  print_stats reports engine ~show_stats format;
   0
-
-let batch_cmd config input show_stats format trace stream progress =
-  if stream then
-    batch_stream_cmd config input show_stats format trace progress
-  else begin
-    if progress then
-      Printf.eprintf "sigrec: --progress has no effect without --stream\n%!";
-    let bytecodes = read_bytecode_list input in
-    let engine = Sigrec.Engine.make config in
-    let reports =
-      with_trace trace (fun () -> Sigrec.Engine.recover_all engine bytecodes)
-    in
-    (match format with
-    | `Json ->
-      List.iter (fun r -> print_endline (Sigrec.Render.report r)) reports
-    | `Text ->
-      List.iter
-        (fun r -> Format.printf "%a@." Sigrec.Engine.pp_report r)
-        reports);
-    if show_stats then begin
-      match format with
-      | `Text ->
-        let stats = Sigrec.Engine.stats engine in
-        Format.printf
-          "@.batch: %d contracts, %d distinct analyses, %d cache hits@."
-          (List.length bytecodes)
-          (Sigrec.Stats.cache_misses stats)
-          (Sigrec.Stats.cache_hits stats);
-        print_rule_stats stats
-      | `Json -> print_stats_json (Sigrec.Engine.stats engine)
-    end;
-    0
-  end
-
-let print_layout_text (lr : Sigrec.Engine.layout_report) =
-  Format.printf "code hash 0x%s%s@.%a@."
-    lr.Sigrec.Engine.layout_code_hash
-    (if lr.Sigrec.Engine.layout_from_cache then " (cached)" else "")
-    Sigrec_layout.Layout.pp lr.Sigrec.Engine.layout
 
 let layout_cmd config input batch show_stats format trace =
-  let engine = Sigrec.Engine.make config in
-  let reports =
-    with_trace trace (fun () ->
-        if batch then
-          Sigrec.Engine.layout_all engine (read_bytecode_list input)
-        else [ Sigrec.Engine.layout engine (read_bytecode input) ])
+  let engine, _, _ =
+    answer layouts config input
+      ~source:(if batch then `List else `One)
+      ~format ~trace ()
   in
-  (match format with
-  | `Json ->
-    List.iter
-      (fun lr -> print_endline (Sigrec.Render.layout_report lr))
-      reports
-  | `Text -> List.iter print_layout_text reports);
-  if show_stats then begin
-    match format with
-    | `Text ->
-      let stats = Sigrec.Engine.stats engine in
-      Format.printf "layouts: %d recovered, %d slots (%d unresolved ops)@."
-        (Sigrec.Stats.layouts_recovered stats)
-        (Sigrec.Stats.layout_slots stats)
-        (Sigrec.Stats.layout_unknown_ops stats)
-    | `Json -> print_stats_json (Sigrec.Engine.stats engine)
-  end;
-  0
-
-let print_classify_text (cr : Sigrec.Engine.classify_report) =
-  Format.printf "code hash 0x%s%s@.%a@."
-    cr.Sigrec.Engine.classify_code_hash
-    (if cr.Sigrec.Engine.classify_from_cache then " (cached)" else "")
-    Sigrec_classify.Classify.pp cr.Sigrec.Engine.verdict
-
-let print_classify_stats stats format =
-  match format with
-  | `Text ->
-    Format.printf
-      "classify: %d verdicts (%d exact / %d partial / %d unknown), %d \
-       probes, %d cache hits@."
-      (Sigrec.Stats.classifications stats)
-      (Sigrec.Stats.classify_exact stats)
-      (Sigrec.Stats.classify_partial stats)
-      (Sigrec.Stats.classify_unknown stats)
-      (Sigrec.Stats.classify_probes stats)
-      (Sigrec.Stats.classify_cache_hits stats)
-  | `Json -> print_stats_json stats
-
-(* Streamed classification: bounded buffers through [classify_all], so
-   recovery gets the pooled batch path and verdicts print in input
-   order at constant memory, mirroring [batch --stream]. *)
-let classify_stream_cmd config input show_stats format trace =
-  let engine = Sigrec.Engine.make config in
-  let print_verdict cr =
-    match format with
-    | `Json -> print_endline (Sigrec.Render.classify_report cr)
-    | `Text -> print_classify_text cr
-  in
-  let buf = ref [] and len = ref 0 in
-  let flush () =
-    if !len > 0 then begin
-      let codes = List.rev !buf in
-      buf := [];
-      len := 0;
-      List.iter print_verdict (Sigrec.Engine.classify_all engine codes)
-    end
-  in
-  let totals =
-    with_trace trace (fun () ->
-        with_input_channel input (fun ic ->
-            let (), totals =
-              Sigrec.Input.fold_lines ~warn:(warn_malformed input)
-                ~f:(fun () code ->
-                  buf := code :: !buf;
-                  incr len;
-                  if !len >= Sigrec.Engine.Stream.default_batch then flush ())
-                () ic
-            in
-            flush ();
-            totals))
-  in
-  let stats = Sigrec.Engine.stats engine in
-  Sigrec.Stats.add_stream_lines stats ~lines:totals.Sigrec.Input.lines
-    ~skipped:totals.Sigrec.Input.skipped;
-  if show_stats then print_classify_stats stats format;
+  print_stats layouts engine ~show_stats format;
   0
 
 let classify_cmd config input batch stream show_stats format trace =
-  if stream then classify_stream_cmd config input show_stats format trace
-  else begin
-    let engine = Sigrec.Engine.make config in
-    let reports =
-      with_trace trace (fun () ->
-          if batch then
-            Sigrec.Engine.classify_all engine (read_bytecode_list input)
-          else [ Sigrec.Engine.classify engine (read_bytecode input) ])
-    in
-    (match format with
-    | `Json ->
-      List.iter
-        (fun cr -> print_endline (Sigrec.Render.classify_report cr))
-        reports
-    | `Text -> List.iter print_classify_text reports);
-    if show_stats then print_classify_stats (Sigrec.Engine.stats engine) format;
-    0
-  end
+  let engine, _, _ =
+    answer verdicts config input
+      ~source:(if stream then `Stream else if batch then `List else `One)
+      ~format ~trace ()
+  in
+  print_stats verdicts engine ~show_stats format;
+  0
 
 let lint_cmd input layout show_stats format trace =
   let bytecode = read_bytecode input in

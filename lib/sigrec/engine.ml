@@ -1,5 +1,7 @@
 module Tr = Sigrec_trace.Trace
 module Mx = Sigrec_metrics.Metrics
+module Layout = Sigrec_layout.Layout
+module Classify = Sigrec_classify.Classify
 
 module Config = struct
   type t = {
@@ -51,27 +53,42 @@ type report = {
   from_cache : bool;
 }
 
+type layout_report = {
+  layout_code_hash : string;
+  layout : Layout.t;
+  layout_from_cache : bool;
+}
+
+type classify_report = {
+  classify_code_hash : string;
+  verdict : Classify.verdict;
+  classify_from_cache : bool;
+}
+
+(* One LRU per product, each keyed by the 32-byte code hash, so the
+   products never evict each other's entries. *)
 type t = {
   config : Config.t;
-  cache : (string, report) Lru.t; (* 32-byte code hash -> report *)
-  layouts : (string, Sigrec_layout.Layout.t) Lru.t; (* code hash -> layout *)
-  verdicts : (string, Sigrec_classify.Classify.verdict) Lru.t;
-      (* code hash -> interface classification *)
-  lock : Mutex.t;
+  reports : (string, report) Lru.t;
+  layouts : (string, layout_report) Lru.t;
+  verdicts : (string, classify_report) Lru.t;
+  lock : Mutex.t; (* guards the LRUs and [stats] *)
   stats : Stats.t;
 }
 
 let make config =
+  let lru () = Lru.create ~capacity:config.Config.cache_capacity in
   {
     config;
-    cache = Lru.create ~capacity:config.Config.cache_capacity;
-    layouts = Lru.create ~capacity:config.Config.cache_capacity;
-    verdicts = Lru.create ~capacity:config.Config.cache_capacity;
+    reports = lru ();
+    layouts = lru ();
+    verdicts = lru ();
     lock = Mutex.create ();
     stats = Stats.create ();
   }
 
 let config t = t.config
+let stats t = t.stats
 
 let signatures report =
   List.filter_map
@@ -80,11 +97,6 @@ let signatures report =
         Some r
       | Failed _ -> None)
     report.outcomes
-
-let outcome_selector_hex = function
-  | Recovered { result = r; _ } | Budget_exhausted { partial = r; _ } ->
-    r.Recover.selector_hex
-  | Failed e -> e.selector_hex
 
 let outcome_elapsed_ns = function
   | Recovered { elapsed_ns; _ } | Budget_exhausted { elapsed_ns; _ } ->
@@ -116,12 +128,12 @@ let pp_report fmt report =
    TASE per dispatcher entry. Every per-function failure mode is
    reified into the outcome instead of yielding a silently shorter
    list. *)
-let analyze_uncounted ~cfg ~stats code =
+let analyze_uncounted ~cfg ~stats ~hash code =
   let lift0 = Tr.now_ns () in
   match Contract.make code with
   | exception e ->
     {
-      code_hash = Evm.Hex.encode (Contract.hash_of_code code);
+      code_hash = Evm.Hex.encode hash;
       outcomes =
         [
           Failed
@@ -215,13 +227,13 @@ let analyze_uncounted ~cfg ~stats code =
     end;
     { code_hash; outcomes; from_cache = false }
 
-let analyze ~cfg ~stats code =
+let analyze ~cfg ~stats ~hash code =
   Stats.cache_miss stats;
   let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
   (* interner traffic is domain-local and an analysis runs entirely in
      one domain, so the before/after delta is exactly this analysis's *)
   let ih0, im0 = Symex.Sexpr.interner_counters () in
-  let report = analyze_uncounted ~cfg ~stats code in
+  let report = analyze_uncounted ~cfg ~stats ~hash code in
   let ih1, im1 = Symex.Sexpr.interner_counters () in
   Stats.add_interner stats ~hits:(ih1 - ih0) ~misses:(im1 - im0);
   if Tr.enabled () then
@@ -232,34 +244,6 @@ let analyze ~cfg ~stats code =
         ("bytes", Tr.Int (String.length code));
       ];
   report
-
-(* Insert under the engine lock, attributing any LRU evictions the
-   insert caused to the engine's stats. Call with the lock held. *)
-let cache_add_locked t hash report =
-  let ev0 = Lru.evictions t.cache in
-  Lru.add t.cache hash report;
-  let ev = Lru.evictions t.cache - ev0 in
-  if ev > 0 then Stats.add_evictions t.stats ev
-
-let recover t code =
-  let hash = Contract.hash_of_code code in
-  let cached =
-    Mutex.protect t.lock (fun () -> Lru.find_opt t.cache hash)
-  in
-  match cached with
-  | Some report ->
-    Mutex.protect t.lock (fun () -> Stats.cache_hit t.stats);
-    if Tr.enabled () then
-      Tr.instant Tr.Engine "cache_hit"
-        [ ("code_hash", Tr.Str report.code_hash) ];
-    { report with from_cache = true }
-  | None ->
-    let stats = Stats.create () in
-    let report = analyze ~cfg:t.config ~stats code in
-    Mutex.protect t.lock (fun () ->
-        Stats.merge_into ~into:t.stats stats;
-        if not (Lru.mem t.cache hash) then cache_add_locked t hash report);
-    report
 
 (* [Config.jobs] is a cap, not a demand: OCaml's stop-the-world minor
    collector makes domains that merely timeshare a core actively
@@ -275,33 +259,56 @@ let effective_jobs t =
   if t.config.Config.jobs > 0 then Stdlib.min t.config.Config.jobs hw
   else hw
 
-let recover_all_n jobs t codes =
-  let codes = Array.of_list codes in
+(* ---- the content-addressed pipeline --------------------------------- *)
+
+(* What the batch path needs to know about one recovery product. *)
+type 'a product = {
+  name : string; (* its LRU, as [cache_stats] and traces name it *)
+  lru : t -> (string, 'a) Lru.t;
+  analyze : t -> Stats.t -> hash:string -> string -> 'a;
+      (* the cold answer, counted into the calling worker's stats *)
+  hit : Stats.t -> int -> unit; (* the counter a cached answer bumps *)
+  cached : 'a -> 'a; (* the answer, marked as served from the cache *)
+}
+
+(* The one batch path every product runs: hash each input (unless the
+   caller already holds the hashes), answer in-batch duplicates and LRU
+   hits without re-analysis, fan the distinct misses out over the pool,
+   merge the workers' stats, fill the LRU counting its evictions, and
+   assemble the answers in input order — byte-identical whatever [jobs]
+   resolves to. Returns the answers and how many of them came from the
+   cache or an earlier input of the batch. *)
+let run_batch ?hashes p t codes =
   let n = Array.length codes in
-  let hashes = Array.map Contract.hash_of_code codes in
-  (* Reports this batch needs, keyed by code hash. Kept separate from
-     the engine cache so a bounded LRU can evict mid-batch without the
-     final assembly losing a report. *)
-  let by_hash = Hashtbl.create ((2 * n) + 1) in
-  (* Work list: first occurrence of each code hash not already cached.
-     Duplicates — the common case on main net — are analyzed exactly
-     once and answered from the result. *)
+  let hashes =
+    match hashes with
+    | Some h -> h
+    | None -> Array.map Contract.hash_of_code codes
+  in
+  let lru = p.lru t in
+  (* [answers] is filled at the first input of each distinct hash;
+     [first.(i)] points input [i] there. Kept apart from the LRU so an
+     eviction mid-batch can never lose an answer the batch needs. *)
+  let answers = Array.make n None in
+  let first = Array.make n 0 in
   let fresh = Array.make n false in
   let work = ref [] in
   Mutex.protect t.lock (fun () ->
-      let seen = Hashtbl.create 64 in
+      let seen = Hashtbl.create ((2 * n) + 1) in
       let dups = ref 0 in
       for i = 0 to n - 1 do
-        let h = hashes.(i) in
-        if Hashtbl.mem seen h then incr dups
-        else begin
-          Hashtbl.replace seen h ();
-          match Lru.find_opt t.cache h with
-          | Some report -> Hashtbl.replace by_hash h report
+        match Hashtbl.find_opt seen hashes.(i) with
+        | Some j ->
+          first.(i) <- j;
+          incr dups
+        | None -> (
+          Hashtbl.replace seen hashes.(i) i;
+          first.(i) <- i;
+          match Lru.find_opt lru hashes.(i) with
+          | Some a -> answers.(i) <- Some a
           | None ->
             fresh.(i) <- true;
-            work := (h, codes.(i)) :: !work
-        end
+            work := i :: !work)
       done;
       if !dups > 0 then begin
         Stats.add_deduped t.stats !dups;
@@ -310,29 +317,23 @@ let recover_all_n jobs t codes =
       end);
   let work = Array.of_list (List.rev !work) in
   let work_n = Array.length work in
-  let results = Array.make work_n None in
-  let jobs =
-    Stdlib.min
-      (Stdlib.min (Stdlib.max 1 jobs) (Lazy.force hardware_jobs))
-      (Stdlib.max 1 work_n)
-  in
+  let jobs = Stdlib.min (effective_jobs t) (Stdlib.max 1 work_n) in
   (* Workers claim chunks of contiguous indices from a shared counter —
      dynamic balancing like per-item claiming, but with fewer atomic
-     operations and less false sharing on the results array. Each
+     operations and less false sharing on the answers array. Each
      worker accumulates into its own Stats.t; no analysis state is
-     shared, so the per-item results are identical whatever the
+     shared, so the per-item answers are identical whatever the
      interleaving. *)
   let chunk = Stdlib.max 1 (Stdlib.min 16 (work_n / (jobs * 8))) in
   let next = Atomic.make 0 in
   let worker () =
     let stats = Stats.create () in
     let rec loop () =
-      let i0 = Atomic.fetch_and_add next chunk in
-      if i0 < work_n then begin
-        let hi = Stdlib.min (i0 + chunk) work_n in
-        for i = i0 to hi - 1 do
-          let _, code = work.(i) in
-          results.(i) <- Some (analyze ~cfg:t.config ~stats code)
+      let k0 = Atomic.fetch_and_add next chunk in
+      if k0 < work_n then begin
+        for k = k0 to Stdlib.min (k0 + chunk) work_n - 1 do
+          let i = work.(k) in
+          answers.(i) <- Some (p.analyze t stats ~hash:hashes.(i) codes.(i))
         done;
         loop ()
       end
@@ -348,69 +349,166 @@ let recover_all_n jobs t codes =
          takes the remaining share. *)
       Pool.ensure (jobs - 1);
       let helpers = Stdlib.min (jobs - 1) (Pool.workers ()) in
-      let collected = Array.make (Stdlib.max 1 helpers) None in
-      let batch =
+      let collected = Array.make helpers None in
+      let pending =
         Pool.submit
           (List.init helpers (fun k () -> collected.(k) <- Some (worker ())))
       in
       let mine = worker () in
-      Pool.await batch;
+      Pool.await pending;
       mine :: List.filter_map Fun.id (Array.to_list collected)
     end
   in
+  let hits = n - work_n in
   Mutex.protect t.lock (fun () ->
-      (* stats merging is commutative, and the cache inserts are keyed
-         by distinct hashes, so the merged state does not depend on
-         which domain analyzed what *)
+      (* stats merging is commutative, and the inserts are keyed by
+         distinct hashes, so the merged state does not depend on which
+         domain analyzed what *)
       List.iter (fun s -> Stats.merge_into ~into:t.stats s) worker_stats;
-      Array.iteri
-        (fun i (h, _) ->
-          match results.(i) with
-          | Some report ->
-            Hashtbl.replace by_hash h report;
-            cache_add_locked t h report
-          | None -> ())
-        work);
-  (* Assemble per-input reports in input order: byte-identical output
-     whatever [jobs] was. *)
-  let hits = ref 0 in
-  let reports =
-    Array.to_list
-      (Array.mapi
-         (fun i _ ->
-           let report = Hashtbl.find by_hash hashes.(i) in
-           if fresh.(i) then report
-           else begin
-             incr hits;
-             if Tr.enabled () then
-               Tr.instant Tr.Engine "cache_hit"
-                 [ ("code_hash", Tr.Str report.code_hash) ];
-             { report with from_cache = true }
-           end)
-         codes)
+      let ev0 = Lru.evictions lru in
+      Array.iter
+        (fun i -> Lru.add lru hashes.(i) (Option.get answers.(i)))
+        work;
+      Stats.add_evictions t.stats (Lru.evictions lru - ev0);
+      if hits > 0 then p.hit t.stats hits);
+  let answers =
+    Array.init n (fun i ->
+        let a = Option.get answers.(first.(i)) in
+        if fresh.(i) then a
+        else begin
+          if Tr.enabled () then
+            Tr.instant Tr.Engine "cache_hit"
+              [
+                ("cache", Tr.Str p.name);
+                ("code_hash", Tr.Str (Evm.Hex.encode hashes.(i)));
+              ];
+          p.cached a
+        end)
   in
-  if !hits > 0 then
-    Mutex.protect t.lock (fun () ->
-        for _ = 1 to !hits do
-          Stats.cache_hit t.stats
-        done);
   (* per-batch runtime-health sample: one Gc.quick_stat against a batch
      of analyses, so a scraping service sees heap growth between polls *)
   if Mx.enabled () then Mx.sample_gc ();
-  reports
+  (answers, hits)
 
-let recover_all t codes = recover_all_n (effective_jobs t) t codes
+(* A single code is a one-element batch. *)
+let run ?hash p t code =
+  let hashes = Option.map (fun h -> [| h |]) hash in
+  (fst (run_batch ?hashes p t [| code |])).(0)
 
-(* ---- streaming recovery --------------------------------------------- *)
+let run_all p t codes =
+  Array.to_list (fst (run_batch p t (Array.of_list codes)))
 
-(* Push-style front end over [recover_all]: bytecodes accumulate into a
-   bounded buffer, and each full buffer goes through the batch engine —
-   worker fan-out, in-batch dedup and the report LRU all apply — with
-   the reports handed to the caller in input order. Memory is bounded
-   by the batch size, never the corpus: a million-line stream holds at
-   most [batch] bytecodes plus whatever the LRU retains. Cross-batch
-   duplicates are answered by the cache, so the stream exploits chain-
-   scale duplication exactly like one huge batch would. *)
+let reports =
+  {
+    name = "reports";
+    lru = (fun t -> t.reports);
+    analyze =
+      (fun t stats ~hash code -> analyze ~cfg:t.config ~stats ~hash code);
+    hit = Stats.add_cache_hits;
+    cached = (fun r -> { r with from_cache = true });
+  }
+
+let layouts =
+  {
+    name = "layouts";
+    lru = (fun t -> t.layouts);
+    analyze =
+      (fun _ stats ~hash code ->
+        let layout = Layout.recover code in
+        Stats.add_layout stats
+          ~slots:(List.length layout.Layout.entries)
+          ~unknown:layout.Layout.unknown_ops;
+        {
+          layout_code_hash = Evm.Hex.encode hash;
+          layout;
+          layout_from_cache = false;
+        });
+    hit = Stats.add_layout_cache_hits;
+    cached = (fun r -> { r with layout_from_cache = true });
+  }
+
+(* Everything a report knows that the classifier can use: full
+   recoveries with their types, budget-exhausted partials flagged as
+   such (they can lend partial credit, never an exact match), and the
+   bare selector of a per-function failure (the dispatcher proved the
+   id exists even though TASE crashed on the body). *)
+let evidence_of_report report =
+  List.filter_map
+    (function
+      | Recovered { result = r; _ } ->
+        Some
+          (Classify.evidence ~selector:r.Recover.selector r.Recover.params)
+      | Budget_exhausted { partial = r; _ } ->
+        Some
+          (Classify.evidence ~partial:true ~selector:r.Recover.selector
+             r.Recover.params)
+      | Failed e when String.length e.selector = 4 ->
+        Some (Classify.bare e.selector)
+      | Failed _ -> None)
+    report.outcomes
+
+let verdict_outcome (v : Classify.verdict) =
+  match v.Classify.best with
+  | Some r when r.Classify.level = Classify.Exact -> `Exact
+  | Some _ -> `Partial
+  | None -> `Unknown
+
+(* A cold verdict: the signatures come through the report cache and the
+   layout thunk through the layout cache, both under the hash the
+   verdict batch already computed — so the classifier pays for the
+   storage pass only when the verdict needs the typed-state evidence,
+   and at most once per bytecode. *)
+let classify_cold t stats ~hash code =
+  let report = run ~hash reports t code in
+  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let verdict =
+    Classify.run
+      ~layout:(fun () -> (run ~hash layouts t code).layout)
+      ~probe:(Classify.probe_dispatch ~code)
+      (evidence_of_report report)
+  in
+  if Tr.enabled () then
+    Tr.complete Tr.Engine "classify" ~t0_us
+      [
+        ("code_hash", Tr.Str report.code_hash);
+        ("label", Tr.Str (Classify.label verdict));
+        ("probes", Tr.Int verdict.Classify.probes_run);
+      ];
+  Stats.add_classification stats ~outcome:(verdict_outcome verdict)
+    ~probes:verdict.Classify.probes_run;
+  {
+    classify_code_hash = report.code_hash;
+    verdict;
+    classify_from_cache = false;
+  }
+
+let verdicts =
+  {
+    name = "verdicts";
+    lru = (fun t -> t.verdicts);
+    analyze = classify_cold;
+    hit = Stats.add_classify_cache_hits;
+    cached = (fun r -> { r with classify_from_cache = true });
+  }
+
+let recover t = run reports t
+let recover_all t = run_all reports t
+let layout t = run layouts t
+let layout_all t = run_all layouts t
+let classify t = run verdicts t
+let classify_all t = run_all verdicts t
+
+(* ---- streaming ------------------------------------------------------ *)
+
+(* Push-style front end over [run_batch]: bytecodes accumulate into a
+   bounded buffer, and each full buffer goes through the batch path —
+   worker fan-out, in-batch dedup and the product's LRU all apply —
+   with the answers handed to the caller in input order. Memory is
+   bounded by the batch size, never the corpus: a million-line stream
+   holds at most [batch] bytecodes plus whatever the LRU retains.
+   Cross-batch duplicates are answered by the cache, so the stream
+   exploits chain-scale duplication exactly like one huge batch
+   would. *)
 module Stream = struct
   type progress = {
     contracts : int;  (** bytecodes fed so far *)
@@ -423,10 +521,11 @@ module Stream = struct
                               caller declared [expected] *)
   }
 
-  type session = {
+  type 'a session = {
+    s_product : 'a product;
     s_engine : t;
     s_batch : int;
-    s_emit : report -> unit;
+    s_emit : 'a -> unit;
     s_progress : (progress -> unit) option;
     s_every : int;
     s_expected : int option;
@@ -440,9 +539,10 @@ module Stream = struct
 
   let default_batch = 256
 
-  let start ?(batch = default_batch) ?(progress_every = 1000) ?progress
-      ?expected engine ~emit =
+  let start_product p ?(batch = default_batch) ?(progress_every = 1000)
+      ?progress ?expected engine ~emit =
     {
+      s_product = p;
       s_engine = engine;
       s_batch = Stdlib.max 1 batch;
       s_emit = emit;
@@ -456,6 +556,10 @@ module Stream = struct
       s_last_report = 0;
       s_t0_ns = Tr.now_ns ();
     }
+
+  let start ?batch ?progress_every ?progress ?expected engine ~emit =
+    start_product reports ?batch ?progress_every ?progress ?expected engine
+      ~emit
 
   (* Heartbeats fire at flush boundaries, not per contract: the batch is
      the unit of work, so the rate and heap numbers describe completed
@@ -492,20 +596,15 @@ module Stream = struct
 
   let flush s =
     if s.s_len > 0 then begin
-      let codes = List.rev s.s_buf in
+      let codes = Array.of_list (List.rev s.s_buf) in
       s.s_buf <- [];
       s.s_len <- 0;
-      let reports = recover_all s.s_engine codes in
-      let dedup =
-        List.fold_left
-          (fun acc r -> if r.from_cache then acc + 1 else acc)
-          0 reports
-      in
-      s.s_dedup <- s.s_dedup + dedup;
-      if dedup > 0 then
+      let answers, hits = run_batch s.s_product s.s_engine codes in
+      s.s_dedup <- s.s_dedup + hits;
+      if hits > 0 then
         Mutex.protect s.s_engine.lock (fun () ->
-            Stats.add_stream_dedup s.s_engine.stats dedup);
-      List.iter s.s_emit reports;
+            Stats.add_stream_dedup s.s_engine.stats hits);
+      Array.iter s.s_emit answers;
       report_progress s (s.s_total - s.s_last_report >= s.s_every)
     end
 
@@ -528,245 +627,15 @@ let recover_stream ?batch t codes ~emit =
   Seq.iter (Stream.feed s) codes;
   Stream.finish s
 
-let stats t = t.stats
+let add_stream_lines t ~lines ~skipped =
+  Mutex.protect t.lock (fun () ->
+      Stats.add_stream_lines t.stats ~lines ~skipped)
 
-let cache_size t = Mutex.protect t.lock (fun () -> Lru.length t.cache)
+let cache_size t = Mutex.protect t.lock (fun () -> Lru.length t.reports)
 
 let cache_stats t =
-  let row name lru =
-    (name, Lru.length lru, Lru.capacity lru, Lru.evictions lru)
+  let row p =
+    let lru = p.lru t in
+    (p.name, Lru.length lru, Lru.capacity lru, Lru.evictions lru)
   in
-  Mutex.protect t.lock (fun () ->
-      [
-        row "reports" t.cache;
-        row "layouts" t.layouts;
-        row "verdicts" t.verdicts;
-      ])
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Lru.clear t.cache;
-      Lru.clear t.layouts;
-      Lru.clear t.verdicts)
-
-(* ---- storage-layout recovery ---------------------------------------- *)
-
-type layout_report = {
-  layout_code_hash : string;
-  layout : Sigrec_layout.Layout.t;
-  layout_from_cache : bool;
-}
-
-let layout_of_code ~stats code =
-  let layout = Sigrec_layout.Layout.recover code in
-  Stats.add_layout stats
-    ~slots:(List.length layout.Sigrec_layout.Layout.entries)
-    ~unknown:layout.Sigrec_layout.Layout.unknown_ops;
-  layout
-
-let layout t code =
-  let hash = Contract.hash_of_code code in
-  let cached = Mutex.protect t.lock (fun () -> Lru.find_opt t.layouts hash) in
-  match cached with
-  | Some layout ->
-    {
-      layout_code_hash = Evm.Hex.encode hash;
-      layout;
-      layout_from_cache = true;
-    }
-  | None ->
-    let stats = Stats.create () in
-    let layout = layout_of_code ~stats code in
-    Mutex.protect t.lock (fun () ->
-        Stats.merge_into ~into:t.stats stats;
-        if not (Lru.mem t.layouts hash) then Lru.add t.layouts hash layout);
-    {
-      layout_code_hash = Evm.Hex.encode hash;
-      layout;
-      layout_from_cache = false;
-    }
-
-(* The batch sibling: deduplicate by code hash, answer from the layout
-   LRU, fan the distinct misses out over the pool. The layout pass
-   shares nothing across contracts, so the per-item results are
-   independent of the interleaving and the assembly below is
-   byte-identical whatever [jobs] resolves to. *)
-let layout_all t codes =
-  let codes = Array.of_list codes in
-  let n = Array.length codes in
-  let hashes = Array.map Contract.hash_of_code codes in
-  let by_hash = Hashtbl.create ((2 * n) + 1) in
-  let fresh = Array.make n false in
-  let work = ref [] in
-  Mutex.protect t.lock (fun () ->
-      let seen = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
-        let h = hashes.(i) in
-        if not (Hashtbl.mem seen h) then begin
-          Hashtbl.replace seen h ();
-          match Lru.find_opt t.layouts h with
-          | Some layout -> Hashtbl.replace by_hash h layout
-          | None ->
-            fresh.(i) <- true;
-            work := (h, codes.(i)) :: !work
-        end
-      done);
-  let work = Array.of_list (List.rev !work) in
-  let work_n = Array.length work in
-  let results = Array.make work_n None in
-  let jobs = Stdlib.min (effective_jobs t) (Stdlib.max 1 work_n) in
-  let next = Atomic.make 0 in
-  let worker () =
-    let stats = Stats.create () in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < work_n then begin
-        let _, code = work.(i) in
-        results.(i) <- Some (layout_of_code ~stats code);
-        loop ()
-      end
-    in
-    loop ();
-    stats
-  in
-  let worker_stats =
-    if jobs <= 1 then [ worker () ]
-    else begin
-      Pool.ensure (jobs - 1);
-      let helpers = Stdlib.min (jobs - 1) (Pool.workers ()) in
-      let collected = Array.make (Stdlib.max 1 helpers) None in
-      let batch =
-        Pool.submit
-          (List.init helpers (fun k () -> collected.(k) <- Some (worker ())))
-      in
-      let mine = worker () in
-      Pool.await batch;
-      mine :: List.filter_map Fun.id (Array.to_list collected)
-    end
-  in
-  Mutex.protect t.lock (fun () ->
-      List.iter (fun s -> Stats.merge_into ~into:t.stats s) worker_stats;
-      Array.iteri
-        (fun i (h, _) ->
-          match results.(i) with
-          | Some layout ->
-            Hashtbl.replace by_hash h layout;
-            if not (Lru.mem t.layouts h) then Lru.add t.layouts h layout
-          | None -> ())
-        work);
-  Array.to_list
-    (Array.mapi
-       (fun i _ ->
-         {
-           layout_code_hash = Evm.Hex.encode hashes.(i);
-           layout = Hashtbl.find by_hash hashes.(i);
-           layout_from_cache = not fresh.(i);
-         })
-       codes)
-
-(* ---- token-standard interface classification ------------------------- *)
-
-module Classify = Sigrec_classify.Classify
-
-type classify_report = {
-  classify_code_hash : string;
-  verdict : Classify.verdict;
-  classify_from_cache : bool;
-}
-
-(* Everything a report knows that the classifier can use: full
-   recoveries with their types, budget-exhausted partials flagged as
-   such (they can lend partial credit, never an exact match), and the
-   bare selector of a per-function failure (the dispatcher proved the
-   id exists even though TASE crashed on the body). *)
-let evidence_of_report report =
-  List.filter_map
-    (function
-      | Recovered { result = r; _ } ->
-        Some
-          (Classify.evidence ~selector:r.Recover.selector r.Recover.params)
-      | Budget_exhausted { partial = r; _ } ->
-        Some
-          (Classify.evidence ~partial:true ~selector:r.Recover.selector
-             r.Recover.params)
-      | Failed e when String.length e.selector = 4 ->
-        Some (Classify.bare e.selector)
-      | Failed _ -> None)
-    report.outcomes
-
-let verdict_outcome (v : Classify.verdict) =
-  match v.Classify.best with
-  | Some r when r.Classify.level = Classify.Exact -> `Exact
-  | Some _ -> `Partial
-  | None -> `Unknown
-
-let classify_of_report t ~code report =
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
-  (* the layout thunk routes through the engine's layout LRU, so the
-     classifier only pays for the storage pass when the verdict needs
-     the typed-state evidence -- and at most once per bytecode *)
-  let force_layout () = (layout t code).layout in
-  let verdict =
-    Classify.run ~layout:force_layout
-      ~probe:(Classify.probe_dispatch ~code)
-      (evidence_of_report report)
-  in
-  if Tr.enabled () then
-    Tr.complete Tr.Engine "classify" ~t0_us
-      [
-        ("code_hash", Tr.Str report.code_hash);
-        ("label", Tr.Str (Classify.label verdict));
-        ("probes", Tr.Int verdict.Classify.probes_run);
-      ];
-  verdict
-
-(* The verdict LRU is keyed by the report's hex code hash: recovery
-   already paid the Keccak, so classification never rehashes the
-   bytecode. *)
-let classify_fresh t code report =
-  let verdict = classify_of_report t ~code report in
-  Mutex.protect t.lock (fun () ->
-      Stats.add_classification t.stats ~outcome:(verdict_outcome verdict)
-        ~probes:verdict.Classify.probes_run;
-      if not (Lru.mem t.verdicts report.code_hash) then
-        Lru.add t.verdicts report.code_hash verdict);
-  verdict
-
-let classify_cached t hash_hex =
-  match Mutex.protect t.lock (fun () -> Lru.find_opt t.verdicts hash_hex) with
-  | Some verdict ->
-    Mutex.protect t.lock (fun () ->
-        Stats.add_classify_cache_hits t.stats 1);
-    if Tr.enabled () then
-      Tr.instant Tr.Engine "classify_cache_hit"
-        [ ("code_hash", Tr.Str hash_hex) ];
-    Some verdict
-  | None -> None
-
-let classify_of_cached_or_fresh t code report =
-  match classify_cached t report.code_hash with
-  | Some verdict ->
-    {
-      classify_code_hash = report.code_hash;
-      verdict;
-      classify_from_cache = true;
-    }
-  | None ->
-    let verdict = classify_fresh t code report in
-    {
-      classify_code_hash = report.code_hash;
-      verdict;
-      classify_from_cache = false;
-    }
-
-let classify t code = classify_of_cached_or_fresh t code (recover t code)
-
-(* The batch sibling rides on [recover_all] -- pooled fan-out, in-batch
-   dedup and the report LRU all apply to the expensive part -- and then
-   scores the verdicts in input order. Matching is selector-set
-   arithmetic, orders of magnitude below an analysis, so scoring
-   serially keeps the output deterministic at no measurable cost;
-   duplicate bytecodes hit the verdict LRU after the first is scored. *)
-let classify_all t codes =
-  let reports = recover_all t codes in
-  List.map2 (classify_of_cached_or_fresh t) codes reports
+  Mutex.protect t.lock (fun () -> [ row reports; row layouts; row verdicts ])

@@ -1,29 +1,27 @@
-(** Batch recovery engine.
+(** Batch recovery engine: one content-addressed pipeline for all three
+    recovery products — signature {!report}s, storage {!layout_report}s
+    and token-interface {!classify_report}s.
 
-    Layers three production concerns over the TASE core:
+    Every product runs through the same batch path ({!run_all}): inputs
+    are keyed by the Keccak-256 code hash, byte-identical duplicates
+    within a batch are answered once, the product's own LRU (optionally
+    bounded by {!Config.cache_capacity}) answers repeats across batches,
+    and the distinct misses fan out over a persistent domain pool
+    ({!Pool}) with a deterministic merge — output is byte-identical
+    whatever {!Config.jobs} is. Single-code calls are one-element
+    batches; {!Stream} feeds any product in bounded batches. Hits,
+    misses, in-batch duplicates and evictions are counted in {!stats}
+    the same way for every product.
 
-    - a content-addressed cache keyed by the Keccak-256 code hash —
-      optionally bounded ({!Config.cache_capacity}), LRU-evicted — so
-      the byte-identical duplicates that dominate deployed contracts
-      are analyzed exactly once (hit/miss/eviction counters in
-      {!stats});
-    - a multicore fan-out over a persistent domain pool ({!Pool}) with
-      a deterministic merge: {!recover_all} output is byte-identical
-      whatever {!Config.jobs} is;
-    - a structured per-function {!outcome} replacing silently-empty
-      result lists, so callers can tell "no public functions" from
-      "symbolic execution gave up" from "the analysis crashed".
+    Signature recovery reifies per-function failure into a structured
+    {!outcome}, so callers can tell "no public functions" from
+    "symbolic execution gave up" from "the analysis crashed".
 
     An engine is safe to share between domains; all cache and stats
     mutation happens under an internal lock.
 
     Engines are configured with one explicit {!Config.t} record
-    ({!make}) rather than a sprawl of optional arguments.
-
-    Besides signatures, an engine also serves the second recovery
-    product: {!layout} / {!layout_all} run the static storage-layout
-    pass ({!Sigrec_layout.Layout}) behind the same content-addressed
-    caching and pool fan-out. *)
+    ({!make}) rather than a sprawl of optional arguments. *)
 
 (** Everything an engine's behavior depends on, in one explicit record.
 
@@ -44,7 +42,7 @@ module Config : sig
             branches proven calldata-independent; see
             [Stats.forks_pruned] *)
     jobs : int;
-        (** upper bound on worker domains for {!recover_all}; [0] (the
+        (** upper bound on worker domains for {!run_all}; [0] (the
             default) means [Domain.recommended_domain_count ()]. This
             is a cap, not a demand: the engine never runs more domains
             than the hardware can schedule simultaneously, because
@@ -52,9 +50,9 @@ module Config : sig
             domains slower than one — on a one-core machine every
             [jobs] value is the sequential engine. *)
     cache_capacity : int;
-        (** max cached reports before LRU eviction; [0] = unbounded
-            (the one-shot CLI default — a resident service should set a
-            bound) *)
+        (** max entries in each product's LRU before eviction;
+            [0] = unbounded (the one-shot CLI default — a resident
+            service should set a bound) *)
   }
 
   val default : t
@@ -107,39 +105,83 @@ type report = {
   from_cache : bool;
 }
 
+type layout_report = {
+  layout_code_hash : string;
+      (** lowercase hex Keccak-256 of the bytecode *)
+  layout : Sigrec_layout.Layout.t;
+  layout_from_cache : bool;
+}
+
+type classify_report = {
+  classify_code_hash : string;
+      (** lowercase hex Keccak-256 of the bytecode *)
+  verdict : Sigrec_classify.Classify.verdict;
+  classify_from_cache : bool;
+}
+
 type t
 
 val make : Config.t -> t
-(** A fresh engine with an empty cache, configured by [config]. *)
+(** A fresh engine with empty caches, configured by [config]. *)
 
 val config : t -> Config.t
 (** The configuration the engine was made with. *)
 
+(** {1 Products} *)
+
+type 'a product
+(** One recovery product: its LRU, its cold analysis, the {!Stats}
+    counter a cached answer bumps, and the answer record ['a] it
+    returns. *)
+
+val reports : report product
+(** Signature recovery. A fresh answer counts [Stats.cache_misses], a
+    cached one [Stats.cache_hits]. *)
+
+val layouts : layout_report product
+(** The static storage-layout pass ({!Sigrec_layout.Layout}). A fresh
+    answer counts [Stats.layouts_recovered], a cached one
+    [Stats.layout_cache_hits]. *)
+
+val verdicts : classify_report product
+(** ERC interface classification ({!Sigrec_classify.Classify.run}): the
+    signatures come through the report cache, with behavioural
+    corroboration on the contract's own bytecode and the layout cache
+    as lazy typed-state evidence. A fresh answer counts
+    [Stats.classifications], a cached one [Stats.classify_cache_hits]. *)
+
+val run_all : 'a product -> t -> string list -> 'a list
+(** One answer per input, in input order. Duplicates within the batch
+    ([Stats.inputs_deduped]) and hits in the product's LRU are answered
+    without re-analysis and marked [from_cache]; the distinct misses are
+    analyzed in parallel on up to [Config.jobs] domains (pooled,
+    persistent across batches, never more than the hardware supports).
+    The result is byte-identical to [jobs = 1]. *)
+
 val recover : t -> string -> report
-(** [recover t bytecode] answers from the cache or analyzes and fills
-    it. *)
-
 val recover_all : t -> string list -> report list
-(** [recover_all t codes] returns one report per input, in input order.
-    Distinct uncached bytecodes are analyzed in parallel on up to
-    [Config.jobs] domains (pooled, persistent across batches, and
-    never more than the hardware supports); duplicates and cache hits
-    are answered without re-analysis. The result is byte-identical to
-    [jobs = 1]. *)
+val layout : t -> string -> layout_report
+val layout_all : t -> string list -> layout_report list
+val classify : t -> string -> classify_report
+val classify_all : t -> string list -> classify_report list
+(** [recover t code] is [run_all reports t [code]] for its one answer,
+    [recover_all] is [run_all reports]; likewise for layouts and
+    verdicts. *)
 
-(** Streaming recovery: feed bytecodes one at a time, receive reports
-    through a callback, and never hold more than one batch in memory.
+(** Streaming: feed bytecodes one at a time, receive answers through a
+    callback, and never hold more than one batch in memory.
 
     A session buffers up to [batch] bytecodes (default
     {!Stream.default_batch}) and pushes each full buffer through
-    {!recover_all}, so worker fan-out, in-batch dedup and the report
-    LRU all apply; reports are emitted in feed order. Cross-batch
-    duplicates — ~90 % of a mainnet corpus — are answered from the
-    cache without re-analysis and counted in [Stats.stream_dedup_hits].
-    A session is not thread-safe; feed it from one thread (the engine
-    underneath still parallelizes each batch). *)
+    {!run_all}'s batch path, so worker fan-out, in-batch dedup and the
+    product's LRU all apply; answers are emitted in feed order.
+    Cross-batch duplicates — ~90 % of a mainnet corpus — are answered
+    from the cache without re-analysis and counted in
+    [Stats.stream_dedup_hits]. A session is not thread-safe; feed it
+    from one thread (the engine underneath still parallelizes each
+    batch). *)
 module Stream : sig
-  type session
+  type 'a session
 
   (** One census heartbeat: a monotonic snapshot of the session so far,
       delivered at batch boundaries. *)
@@ -160,14 +202,15 @@ module Stream : sig
       small enough that buffered bytecodes stay in cache-friendly
       memory. *)
 
-  val start :
+  val start_product :
+    'a product ->
     ?batch:int ->
     ?progress_every:int ->
     ?progress:(progress -> unit) ->
     ?expected:int ->
     t ->
-    emit:(report -> unit) ->
-    session
+    emit:('a -> unit) ->
+    'a session
   (** [emit] is called once per fed bytecode, in feed order, as each
       internal batch completes. When [progress] is given it fires at
       the first batch boundary after every [progress_every] contracts
@@ -176,11 +219,21 @@ module Stream : sig
       since the last heartbeat. [expected] (a known corpus size)
       enables the [eta_ns] field. *)
 
-  val feed : session -> string -> unit
+  val start :
+    ?batch:int ->
+    ?progress_every:int ->
+    ?progress:(progress -> unit) ->
+    ?expected:int ->
+    t ->
+    emit:(report -> unit) ->
+    report session
+  (** [start_product reports]. *)
+
+  val feed : 'a session -> string -> unit
   (** Buffer one bytecode; runs a batch (invoking [emit]) when the
       buffer reaches the batch size. *)
 
-  val finish : session -> int
+  val finish : 'a session -> int
   (** Flush the remaining partial batch and return the total number of
       bytecodes fed over the session's lifetime. *)
 end
@@ -194,20 +247,22 @@ val recover_stream :
     which batch first analyzes a given bytecode depends on the batch
     boundaries. *)
 
-val signatures : report -> Recover.recovered list
-(** The recovered signatures including budget-exhausted partials — the
-    closest equivalent of the old [Recover.recover] result. *)
+val add_stream_lines : t -> lines:int -> skipped:int -> unit
+(** [Stats.add_stream_lines] under the engine lock: what a streaming
+    reader records once its input is drained. *)
+
+(** {1 Introspection} *)
 
 val stats : t -> Stats.t
 (** Cumulative counters: rule usage, functions recovered, paths
-    explored, cache hits/misses/evictions ([cache_misses] = analyses
-    actually run). *)
+    explored, each product's fresh answers and cache hits, in-batch
+    duplicates and LRU evictions across all products. *)
 
 val cache_size : t -> int
-val clear : t -> unit
+(** Entries in the report LRU. *)
 
 val effective_jobs : t -> int
-(** The worker-domain count {!recover_all} actually uses: [Config.jobs]
+(** The worker-domain count a batch actually uses: [Config.jobs]
     clamped to the hardware ([Domain.recommended_domain_count ()]), or
     the hardware count when [jobs = 0]. The ["workers"] field a serve
     [metrics] reply reports. *)
@@ -218,60 +273,17 @@ val cache_stats : t -> (string * int * int * int) list
     the engine lock. Capacity 0 means unbounded. Feeds the cache gauges
     on the metrics surface. *)
 
-val outcome_selector_hex : outcome -> string
+(** {1 Reports} *)
+
+val signatures : report -> Recover.recovered list
+(** The recovered signatures including budget-exhausted partials — the
+    closest equivalent of the old [Recover.recover] result. *)
 
 val outcome_elapsed_ns : outcome -> int option
 (** Per-function wall-clock analysis time; [None] for [Failed]. *)
 
-
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 Storage-layout recovery} *)
-
-type layout_report = {
-  layout_code_hash : string;
-      (** lowercase hex Keccak-256 of the bytecode *)
-  layout : Sigrec_layout.Layout.t;
-  layout_from_cache : bool;
-}
-
-val layout : t -> string -> layout_report
-(** [layout t bytecode] recovers the contract's storage layout,
-    answering from the engine's layout cache when the same bytecode
-    was already analyzed. Layout reports live in their own LRU (same
-    {!Config.cache_capacity} bound as signature reports): the two
-    products cache independently, so interleaving them never evicts
-    the other's entries early. *)
-
-val layout_all : t -> string list -> layout_report list
-(** One layout report per input, in input order; distinct uncached
-    bytecodes fan out over the worker pool like {!recover_all}, with
-    byte-identical output whatever the parallelism. *)
-
-(** {1 Token-standard interface classification} *)
-
-type classify_report = {
-  classify_code_hash : string;
-      (** lowercase hex Keccak-256 of the bytecode *)
-  verdict : Sigrec_classify.Classify.verdict;
-  classify_from_cache : bool;
-}
-
-val classify : t -> string -> classify_report
-(** [classify t bytecode] recovers the contract's signatures (through
-    the report cache) and scores them against the ERC interface specs
-    ({!Sigrec_classify.Classify.run}), with behavioural corroboration
-    on the contract's own bytecode and the engine's layout pass as
-    lazy typed-state evidence. Verdicts live in their own LRU (same
-    {!Config.cache_capacity} bound), so a resident service answers
-    repeated classifications without re-scoring. *)
-
-val classify_all : t -> string list -> classify_report list
-(** One classification per input, in input order. Recovery fans out
-    through {!recover_all} (pool, dedup, report LRU); scoring itself
-    is cheap and runs in input order, so the output is deterministic
-    whatever the parallelism. *)
 
 val evidence_of_report : report -> Sigrec_classify.Classify.evidence list
 (** The classification evidence a report carries: full recoveries,

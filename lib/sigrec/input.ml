@@ -100,13 +100,21 @@ let fold_reads ?warn ?(max_line_bytes = default_max_line_bytes) ~read ~f init =
       let start = ref 0 in
       for i = 0 to n - 1 do
         if Bytes.unsafe_get chunk i = '\n' then begin
-          (if !discarding || Buffer.length pending = 0 then
-             dispatch (Bytes.sub_string chunk !start (i - !start))
-           else begin
-             Buffer.add_subbytes pending chunk !start (i - !start);
-             dispatch (Buffer.contents pending);
-             Buffer.clear pending
-           end);
+          let len = i - !start in
+          if !discarding || Buffer.length pending + len > max_line_bytes
+          then begin
+            (* the cap holds however the line fell across reads *)
+            discarding := true;
+            Buffer.clear pending;
+            dispatch ""
+          end
+          else if Buffer.length pending = 0 then
+            dispatch (Bytes.sub_string chunk !start len)
+          else begin
+            Buffer.add_subbytes pending chunk !start len;
+            dispatch (Buffer.contents pending);
+            Buffer.clear pending
+          end;
           start := i + 1
         end
       done;

@@ -91,11 +91,3 @@ let add t k v =
     while Hashtbl.length t.table > t.capacity do
       evict_lru t
     done
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
-let fold f t acc =
-  Hashtbl.fold (fun k n acc -> f k n.value acc) t.table acc

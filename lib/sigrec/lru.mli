@@ -1,8 +1,8 @@
-(** Bounded LRU map backing the engine's report cache.
+(** Bounded LRU map backing the engine's per-product caches.
 
     A resident [sigrec serve] process would otherwise grow its
-    content-addressed cache without bound; this map keeps the most
-    recently requested reports and evicts from the least-recent end
+    content-addressed caches without bound; this map keeps the most
+    recently requested answers and evicts from the least-recent end
     once {!capacity} is exceeded. Capacity 0 means unbounded — the
     one-shot CLI default, where the process lifetime bounds the cache.
 
@@ -31,9 +31,3 @@ val peek_opt : ('k, 'v) t -> 'k -> 'v option
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite as most-recently-used, then evict
     least-recently-used entries until within capacity. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry (the eviction counter is kept). *)
-
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Fold over entries in unspecified order. *)

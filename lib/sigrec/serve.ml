@@ -102,75 +102,33 @@ let warning_json (index, reason) =
   Json.obj
     [ ("index", string_of_int index); ("reason", Json.quote reason) ]
 
-let recover_response t id codes_json =
-  match Json.to_list_opt codes_json with
-  | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let reports = Engine.recover_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ("reports", Json.arr (List.map Render.report reports));
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
+(* The ops that answer a "codes" array: op -> (response field, the
+   engine product behind it, rendered). *)
+let codes_ops =
+  let op field product render =
+    ( field,
+      fun engine codes -> List.map render (Engine.run_all product engine codes)
+    )
+  in
+  [
+    ("recover", op "reports" Engine.reports Render.report);
+    ("layout", op "layouts" Engine.layouts Render.layout_report);
+    ("classify", op "classifications" Engine.verdicts Render.classify_report);
+  ]
 
-let layout_response t id codes_json =
-  match Json.to_list_opt codes_json with
-  | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let layouts = Engine.layout_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ("layouts", Json.arr (List.map Render.layout_report layouts));
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
-
-let classify_response t id codes_json =
-  match Json.to_list_opt codes_json with
-  | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let verdicts = Engine.classify_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ( "classifications",
-            Json.arr (List.map Render.classify_report verdicts) );
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
+let codes_response t id (field, answer) req =
+  match Option.bind (Json.member "codes" req) Json.to_list_opt with
+  | Some items when List.for_all (fun v -> Json.to_string_opt v <> None) items
+    ->
+    let batch = Input.parse_codes (List.filter_map Json.to_string_opt items) in
+    Json.obj
+      [
+        ("id", id);
+        ("ok", "true");
+        (field, Json.arr (answer t.engine batch.Input.codes));
+        ("warnings", Json.arr (List.map warning_json batch.Input.skipped));
+      ]
+  | _ -> error_response id "\"codes\" must be an array of hex strings"
 
 let metrics_response t id =
   let stats = Engine.stats t.engine in
@@ -245,11 +203,12 @@ let handle_line t line =
         | Some opname ->
           t.last_op <-
             (match opname with
-            | "ping" | "shutdown" | "metrics" | "recover" | "layout"
-            | "classify" | "stream" ->
-              opname
+            | "ping" | "shutdown" | "metrics" | "stream" -> opname
+            | op when List.mem_assoc op codes_ops -> op
             | _ -> "other");
           (match opname with
+          | op when List.mem_assoc op codes_ops ->
+            reply (codes_response t id (List.assoc op codes_ops) req)
           | "ping" ->
             reply (Json.obj [ ("id", id); ("ok", "true"); ("pong", "true") ])
           | "shutdown" ->
@@ -271,21 +230,6 @@ let handle_line t line =
                   (error_response id
                      "unknown \"format\" (expected \"openmetrics\")")
               | None -> reply (metrics_response t id)))
-          | "recover" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (recover_response t id codes)
-          | "layout" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (layout_response t id codes)
-          | "classify" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (classify_response t id codes)
           | "stream" ->
             {
               response =
@@ -371,8 +315,7 @@ let run_stream t id ic oc =
       end
   done;
   let contracts = Engine.Stream.finish session in
-  Stats.add_stream_lines (Engine.stats t.engine) ~lines:!lines
-    ~skipped:!skipped;
+  Engine.add_stream_lines t.engine ~lines:!lines ~skipped:!skipped;
   emit_line
     (Json.obj
        [

@@ -16,6 +16,7 @@ type t = {
   mutable layouts : int;
   mutable layout_slots : int;
   mutable layout_unknown : int;
+  mutable layout_cache : int;
   mutable stream_lines : int;
   mutable stream_skipped : int;
   mutable stream_dedup : int;
@@ -44,6 +45,7 @@ let create () =
     layouts = 0;
     layout_slots = 0;
     layout_unknown = 0;
+    layout_cache = 0;
     stream_lines = 0;
     stream_skipped = 0;
     stream_dedup = 0;
@@ -65,7 +67,7 @@ let rule_count t name =
 let rule_counts t = List.map (fun name -> (name, rule_count t name)) rule_names
 let unexercised t = List.filter (fun name -> rule_count t name = 0) rule_names
 
-let cache_hit t = t.cache_hits <- t.cache_hits + 1
+let add_cache_hits t n = t.cache_hits <- t.cache_hits + n
 let cache_miss t = t.cache_misses <- t.cache_misses + 1
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
@@ -121,9 +123,11 @@ let classify_unknown t = t.classify_unknown
 let classify_probes t = t.classify_probes
 let classify_cache_hits t = t.classify_cache
 
+let add_layout_cache_hits t n = t.layout_cache <- t.layout_cache + n
 let layouts_recovered t = t.layouts
 let layout_slots t = t.layout_slots
 let layout_unknown_ops t = t.layout_unknown
+let layout_cache_hits t = t.layout_cache
 
 let merge_into ~into src =
   List.iter
@@ -152,6 +156,7 @@ let merge_into ~into src =
   into.layouts <- into.layouts + src.layouts;
   into.layout_slots <- into.layout_slots + src.layout_slots;
   into.layout_unknown <- into.layout_unknown + src.layout_unknown;
+  into.layout_cache <- into.layout_cache + src.layout_cache;
   into.stream_lines <- into.stream_lines + src.stream_lines;
   into.stream_skipped <- into.stream_skipped + src.stream_skipped;
   into.stream_dedup <- into.stream_dedup + src.stream_dedup;
@@ -188,6 +193,7 @@ let scalars : (string * (t -> int)) list =
     ("layouts_recovered", fun t -> t.layouts);
     ("layout_slots", fun t -> t.layout_slots);
     ("layout_unknown_ops", fun t -> t.layout_unknown);
+    ("layout_cache_hits", fun t -> t.layout_cache);
     ("stream_lines", fun t -> t.stream_lines);
     ("stream_skipped", fun t -> t.stream_skipped);
     ("stream_dedup_hits", fun t -> t.stream_dedup);
@@ -230,15 +236,18 @@ let pp fmt t =
     Format.fprintf fmt "interner: %d hits / %d misses (%.1f%% hit rate)@,"
       (v "intern_hits") (v "intern_misses")
       (100.0 *. float_of_int (v "intern_hits") /. float_of_int itotal);
-  if v "layouts_recovered" > 0 then
-    Format.fprintf fmt "layouts: %d recovered, %d slots (%d unresolved ops)@,"
-      (v "layouts_recovered") (v "layout_slots") (v "layout_unknown_ops");
+  if v "layouts_recovered" + v "layout_cache_hits" > 0 then
+    Format.fprintf fmt
+      "layouts: %d recovered, %d slots (%d unresolved ops), %d cache hits@,"
+      (v "layouts_recovered") (v "layout_slots") (v "layout_unknown_ops")
+      (v "layout_cache_hits");
   if v "stream_lines" > 0 then
     Format.fprintf fmt "stream: %d lines (%d skipped, %d dedup hits)@,"
       (v "stream_lines") (v "stream_skipped") (v "stream_dedup_hits");
   if v "classifications" + v "classify_cache_hits" > 0 then
     Format.fprintf fmt
-      "classify: %d verdicts (%d exact / %d partial / %d unknown), %d        probes, %d cache hits@,"
+      "classify: %d verdicts (%d exact / %d partial / %d unknown), %d \
+       probes, %d cache hits@,"
       (v "classifications") (v "classify_exact") (v "classify_partial")
       (v "classify_unknown") (v "classify_probes")
       (v "classify_cache_hits");

@@ -27,12 +27,13 @@ val unexercised : t -> string list
     the generated corpus must leave it empty, so silently disabling a
     rule fails the suite instead of just shifting an accuracy figure. *)
 
-val cache_hit : t -> unit
+val add_cache_hits : t -> int -> unit
 val cache_miss : t -> unit
 val cache_hits : t -> int
 val cache_misses : t -> int
-(** A miss is an actual analysis; a hit is a bytecode answered from the
-    content-addressed cache (or deduplicated within one batch). *)
+(** Signature reports: a miss is an actual analysis; a hit is a
+    bytecode answered from the report cache (or by an earlier input of
+    the same batch). *)
 
 val add_paths : t -> int -> unit
 val paths_explored : t -> int
@@ -54,9 +55,9 @@ val lint_disagreements : t -> int
 
 val add_deduped : t -> int -> unit
 val inputs_deduped : t -> int
-(** Batch inputs [Engine.recover_all] answered by pointing at another
-    input of the same batch with identical bytecode (cache hits are
-    counted separately, under {!cache_hits}). *)
+(** Batch inputs, of any product, that the engine answered by pointing
+    at an earlier input of the same batch with identical bytecode.
+    They are also counted as that product's cache hits. *)
 
 val add_interner : t -> hits:int -> misses:int -> unit
 val intern_hits : t -> int
@@ -68,26 +69,33 @@ val intern_misses : t -> int
 
 val add_evictions : t -> int -> unit
 val cache_evictions : t -> int
-(** Reports the engine's bounded LRU cache dropped to stay within its
-    configured capacity ([Engine.Config.cache_capacity]); 0 when the
-    cache is unbounded. *)
+(** Entries any of the engine's LRUs (reports, layouts, verdicts)
+    dropped to stay within the configured capacity
+    ([Engine.Config.cache_capacity]); 0 when the caches are unbounded.
+    Equals the eviction total of [Engine.cache_stats]. *)
 
 val add_layout : t -> slots:int -> unknown:int -> unit
 (** Count one storage-layout recovery: [slots] declared slots found,
     [unknown] storage operations whose slot the pass could not
     resolve. *)
 
+val add_layout_cache_hits : t -> int -> unit
+(** Count layouts answered from the layout LRU or by an earlier input
+    of the same batch. *)
+
 val layouts_recovered : t -> int
 val layout_slots : t -> int
 val layout_unknown_ops : t -> int
+val layout_cache_hits : t -> int
 
 val add_stream_lines : t -> lines:int -> skipped:int -> unit
 (** Count physical input lines a streaming reader processed and how
     many of them it skipped as malformed. *)
 
 val add_stream_dedup : t -> int -> unit
-(** Count streamed bytecodes answered from the report cache or by a
-    duplicate earlier in the stream, without a fresh analysis. *)
+(** Count streamed bytecodes, of any product, answered from the
+    product's cache or by a duplicate earlier in the stream, without a
+    fresh analysis. *)
 
 val stream_lines : t -> int
 val stream_skipped : t -> int
@@ -99,7 +107,8 @@ val add_classification :
     plus the behavioural probes it spent. *)
 
 val add_classify_cache_hits : t -> int -> unit
-(** Count classifications answered from the verdict LRU. *)
+(** Count classifications answered from the verdict LRU or by an
+    earlier input of the same batch. *)
 
 val classifications : t -> int
 val classify_exact : t -> int

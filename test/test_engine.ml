@@ -175,7 +175,7 @@ let test_stats_merge () =
   let b = Sigrec.Stats.create () in
   Sigrec.Stats.hit_rule b "R1";
   Sigrec.Stats.hit_rule b "R17";
-  Sigrec.Stats.cache_hit b;
+  Sigrec.Stats.add_cache_hits b 1;
   Sigrec.Stats.add_paths b 3;
   Sigrec.Stats.add_functions b 2;
   let ab = Sigrec.Stats.merge a b and ba = Sigrec.Stats.merge b a in
@@ -202,7 +202,7 @@ let test_stats_scalar_sync () =
   let s = Sigrec.Stats.create () in
   Sigrec.Stats.add_layout s ~slots:3 ~unknown:1;
   Sigrec.Stats.add_layout s ~slots:2 ~unknown:0;
-  Sigrec.Stats.cache_hit s;
+  Sigrec.Stats.add_cache_hits s 1;
   let json =
     match Sigrec.Json.parse (Sigrec.Stats.to_json s) with
     | Ok v -> v
@@ -237,7 +237,14 @@ let test_stats_scalar_sync () =
     go 0
   in
   Alcotest.(check bool) "pp shows the layout counters" true
-    (contains "layouts: 2 recovered, 5 slots (1 unresolved ops)")
+    (contains "layouts: 2 recovered, 5 slots (1 unresolved ops)");
+  Sigrec.Stats.add_classification s ~outcome:`Exact ~probes:2;
+  Sigrec.Stats.add_classify_cache_hits s 1;
+  Alcotest.(check bool) "pp renders the classify line exactly" true
+    (List.mem
+       "classify: 1 verdicts (1 exact / 0 partial / 0 unknown), 2 probes, 1 \
+        cache hits"
+       (String.split_on_char '\n' (Format.asprintf "%a" Sigrec.Stats.pp s)))
 
 let test_engine_matches_recover () =
   (* the engine's signature view is the old Recover.recover result *)
@@ -408,6 +415,83 @@ let test_layout_cache_independent_of_reports () =
   Alcotest.(check bool) "fresh first layout" false
     l1.Sigrec.Engine.layout_from_cache
 
+(* -- per-product counter consistency --------------------------------- *)
+
+(* Every product through the same batch path must count the same way:
+   fresh answers are its miss counter, [from_cache] answers its hit
+   counter, in-batch duplicates move [inputs_deduped], and the engine's
+   eviction counter is the total over all its LRUs. *)
+let test_product_counters () =
+  let distinct = layout_codes ~seed:23 4 in
+  let codes = distinct @ [ List.nth distinct 1; List.hd distinct ] in
+  let dups = List.length codes - List.length distinct in
+  (* each product: its from_cache flags over [codes], then its miss and
+     hit counters *)
+  let products =
+    [
+      ( "reports",
+        (fun e ->
+          List.map
+            (fun r -> r.Sigrec.Engine.from_cache)
+            (Sigrec.Engine.recover_all e codes)),
+        Sigrec.Stats.cache_misses,
+        Sigrec.Stats.cache_hits );
+      ( "layouts",
+        (fun e ->
+          List.map
+            (fun r -> r.Sigrec.Engine.layout_from_cache)
+            (Sigrec.Engine.layout_all e codes)),
+        Sigrec.Stats.layouts_recovered,
+        Sigrec.Stats.layout_cache_hits );
+      ( "verdicts",
+        (fun e ->
+          List.map
+            (fun r -> r.Sigrec.Engine.classify_from_cache)
+            (Sigrec.Engine.classify_all e codes)),
+        Sigrec.Stats.classifications,
+        Sigrec.Stats.classify_cache_hits );
+    ]
+  in
+  List.iter
+    (fun (name, run, misses, hits) ->
+      let batch what e =
+        let stats = Sigrec.Engine.stats e in
+        let m0 = misses stats
+        and h0 = hits stats
+        and d0 = Sigrec.Stats.inputs_deduped stats in
+        let cached = run e in
+        let n_cached = List.length (List.filter Fun.id cached) in
+        let label s = Printf.sprintf "%s, %s: %s" name what s in
+        Alcotest.(check int) (label "fresh answers = misses")
+          (List.length cached - n_cached) (misses stats - m0);
+        Alcotest.(check int) (label "cached answers = hits") n_cached
+          (hits stats - h0);
+        Alcotest.(check int) (label "in-batch duplicates") dups
+          (Sigrec.Stats.inputs_deduped stats - d0);
+        let evictions =
+          List.fold_left
+            (fun acc (_, _, _, ev) -> acc + ev)
+            0 (Sigrec.Engine.cache_stats e)
+        in
+        Alcotest.(check int) (label "evictions = LRU total") evictions
+          (Sigrec.Stats.cache_evictions stats);
+        (n_cached, evictions)
+      in
+      let e = engine ~jobs:2 () in
+      let cold_cached, _ = batch "cold" e in
+      Alcotest.(check int) (name ^ ": cold batch caches only duplicates") dups
+        cold_cached;
+      let warm_cached, _ = batch "warm" e in
+      Alcotest.(check int) (name ^ ": warm batch fully cached")
+        (List.length codes) warm_cached;
+      let small =
+        Sigrec.Engine.make
+          Sigrec.Engine.Config.(default |> with_jobs 2 |> with_cache_capacity 2)
+      in
+      let _, evictions = batch "capacity 2" small in
+      Alcotest.(check bool) (name ^ ": capacity 2 evicts") true (evictions > 0))
+    products
+
 let suite =
   [
     Alcotest.test_case "parallel = sequential" `Slow
@@ -440,4 +524,6 @@ let suite =
       test_layout_cache_and_dedup;
     Alcotest.test_case "layout: caches are per-product" `Quick
       test_layout_cache_independent_of_reports;
+    Alcotest.test_case "per-product counters agree" `Quick
+      test_product_counters;
   ]

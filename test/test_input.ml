@@ -197,10 +197,7 @@ let fold_round_trip () =
 
 let oversized_lines_skipped () =
   (* a line over the cap is reported with its line number and never
-     delivered; surrounding lines are unaffected. The cap only guards
-     lines that would otherwise be buffered, so the reads must be
-     smaller than the cap (as they always are under fold_lines, whose
-     64 KiB reads sit far below the 4 MiB default cap). *)
+     delivered; surrounding lines are unaffected *)
   let big = String.make 200 '6' in
   let text = "0x6001\n" ^ big ^ "\n0x6002\n" in
   let warned = ref [] in
@@ -254,7 +251,26 @@ let final_line_exactly_at_cap () =
   let codes, totals = fold_string ~max_line_bytes:64 ~chunk:7 ("0x6001\n" ^ over) in
   Alcotest.(check (list string)) "neighbor survives" [ "6001" ]
     (List.rev_map Evm.Hex.encode codes);
-  Alcotest.(check int) "cap+1 skipped" 1 totals.Sigrec.Input.skipped
+  Alcotest.(check int) "cap+1 skipped" 1 totals.Sigrec.Input.skipped;
+  (* two bytes past the cap and newline-terminated: skipped whatever the
+     read size, including reads at or above the cap that deliver the
+     whole line at once *)
+  let over2 = "0x" ^ String.make 64 '6' in
+  Alcotest.(check int) "fixture is cap+2" 66 (String.length over2);
+  List.iter
+    (fun chunk ->
+      let codes, totals =
+        fold_string ~max_line_bytes:64 ~chunk
+          ("0x6001\n" ^ over2 ^ "\n0x6002\n")
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "terminated cap+2 (chunk %d): neighbors survive" chunk)
+        [ "6001"; "6002" ]
+        (List.rev_map Evm.Hex.encode codes);
+      Alcotest.(check int)
+        (Printf.sprintf "terminated cap+2 (chunk %d): skipped" chunk)
+        1 totals.Sigrec.Input.skipped)
+    [ 7; 63; 64; 65536 ]
 
 let suite =
   [

@@ -212,7 +212,7 @@ let stats_json_shape () =
   Sigrec.Stats.hit_rule s "R4";
   Sigrec.Stats.hit_rule s "R16";
   Sigrec.Stats.add_paths s 7;
-  Sigrec.Stats.cache_hit s;
+  Sigrec.Stats.add_cache_hits s 1;
   let j = Sigrec.Stats.to_json s in
   let idx needle =
     let n = String.length needle and h = String.length j in
