@@ -1473,7 +1473,7 @@ let metrics_overhead ?(emit = true) ?(n = 48) () =
   Mx.observe gh 5;
   Mx.observe gh 50;
   Mx.observe gh 500;
-  let golden = Mx.expose ~registry:greg () in
+  let golden = Mx.expose [ greg ] in
   let expected_golden =
     "# HELP golden_requests test counter\n\
      # TYPE golden_requests counter\n\

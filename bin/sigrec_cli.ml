@@ -262,7 +262,7 @@ let answer shown config input ~source ~format ~trace ?progress () =
                   () ic
               in
               let contracts = Sigrec.Engine.Stream.finish session in
-              Sigrec.Engine.add_stream_lines engine
+              Sigrec.Stats.add_stream_lines (Sigrec.Engine.stats engine)
                 ~lines:totals.Sigrec.Input.lines
                 ~skipped:totals.Sigrec.Input.skipped;
               (contracts, Some totals)))
@@ -481,8 +481,8 @@ let serve_cmd config socket trace =
    with Invalid_argument _ -> ());
   (* a resident service is exactly what the metric registry is for:
      phase-latency histograms, pool/LRU/GC gauges and the slowest-
-     contracts ring, scraped via {"op":"metrics","format":"openmetrics"}
-     or the [sigrec metrics] subcommand *)
+     contracts ring, scraped via {"op":"metrics"} or the [sigrec metrics]
+     subcommand *)
   Sigrec_metrics.Metrics.enable ();
   with_trace trace (fun () ->
       let t = Sigrec.Serve.create config in
@@ -540,7 +540,7 @@ let metrics_cmd socket top =
       let req =
         if top <> None then
           {|{"id":"metrics","op":"metrics","top":true}|}
-        else {|{"id":"metrics","op":"metrics","format":"openmetrics"}|}
+        else {|{"id":"metrics","op":"metrics"}|}
       in
       Out_channel.output_string oc (req ^ "\n");
       Out_channel.flush oc;

@@ -150,10 +150,10 @@ let of_cfg cfg =
   of_result r
 
 let recover code =
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   let layout = of_cfg (Cfg.build code) in
   if Tr.enabled () then
-    Tr.complete Tr.Layout "storage_pass" ~t0_us
+    Tr.complete Tr.Layout "storage_pass" ~t0_ns
       [
         ("bytes", Tr.Int (String.length code));
         ("slots", Tr.Int (List.length layout.entries));

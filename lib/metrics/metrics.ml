@@ -31,6 +31,7 @@ type histogram = {
 type counter = {
   c_name : string;
   c_help : string;
+  c_labels : (string * string) list;
   c_v : int Atomic.t;
 }
 
@@ -46,11 +47,9 @@ type metric = MC of counter | MG of gauge | MH of histogram
 type registry = {
   r_lock : Mutex.t;
   mutable r_metrics : metric list; (* newest first *)
-  mutable r_collectors : (string * (unit -> string)) list; (* oldest first *)
 }
 
-let create_registry () =
-  { r_lock = Mutex.create (); r_metrics = []; r_collectors = [] }
+let create_registry () = { r_lock = Mutex.create (); r_metrics = [] }
 
 let default = create_registry ()
 
@@ -108,11 +107,15 @@ let find_or_create reg key make =
         reg.r_metrics <- m :: reg.r_metrics;
         v)
 
-let counter ?(registry = default) ?(help = "") name =
+let counter ?(registry = default) ?(help = "") ?(labels = []) name =
   find_or_create registry
-    (function MC c when c.c_name = name -> Some c | _ -> None)
+    (function
+      | MC c when c.c_name = name && c.c_labels = labels -> Some c
+      | _ -> None)
     (fun () ->
-      let c = { c_name = name; c_help = help; c_v = Atomic.make 0 } in
+      let c =
+        { c_name = name; c_help = help; c_labels = labels; c_v = Atomic.make 0 }
+      in
       (MC c, c))
 
 let gauge ?(registry = default) ?(help = "") ?(labels = []) name =
@@ -147,7 +150,6 @@ let inc c = ignore (Atomic.fetch_and_add c.c_v 1 : int)
 let add c n = ignore (Atomic.fetch_and_add c.c_v n : int)
 let counter_value c = Atomic.get c.c_v
 let set_gauge g v = g.g_cell.(0) <- v
-let gauge_value g = g.g_cell.(0)
 
 (* Tail-recursive bound scan on immediates: no ref cell, no closure —
    the whole observe path allocates nothing (the shard itself is
@@ -220,8 +222,6 @@ let quantile_scaled s q scale =
     go 0 0
   end
 
-let hist_scale h = h.h_scale
-
 (* Snapshots carry no scale of their own; {!quantile} answers in the
    conventional 1e-9 (ns → s) unit, and the bench reads scaled values
    through {!histograms}. *)
@@ -280,30 +280,29 @@ let fmt_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let family_header buf ~mtype ~name ~help =
-  if help <> "" then
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name mtype)
+let family = function MC c -> c.c_name | MG g -> g.g_name | MH h -> h.h_name
 
-let render_metric buf seen m =
-  let header mtype name help =
-    if not (List.mem name !seen) then begin
-      seen := name :: !seen;
-      family_header buf ~mtype ~name ~help
-    end
+let render_header buf m =
+  let mtype, help =
+    match m with
+    | MC c -> ("counter", c.c_help)
+    | MG g -> ("gauge", g.g_help)
+    | MH h -> ("histogram", h.h_help)
   in
-  match m with
+  if help <> "" then
+    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" (family m) help);
+  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" (family m) mtype)
+
+let render_samples buf = function
   | MC c ->
-    header "counter" c.c_name c.c_help;
     Buffer.add_string buf
-      (Printf.sprintf "%s_total %d\n" c.c_name (Atomic.get c.c_v))
+      (Printf.sprintf "%s_total%s %d\n" c.c_name (labels_str c.c_labels)
+         (Atomic.get c.c_v))
   | MG g ->
-    header "gauge" g.g_name g.g_help;
     Buffer.add_string buf
       (Printf.sprintf "%s%s %s\n" g.g_name (labels_str g.g_labels)
          (fmt_float g.g_cell.(0)))
   | MH h ->
-    header "histogram" h.h_name h.h_help;
     let s = snapshot h in
     let cum = ref 0 in
     Array.iteri
@@ -326,20 +325,23 @@ let render_metric buf seen m =
       (Printf.sprintf "%s_count%s %d\n" h.h_name (labels_str h.h_labels)
          s.count)
 
-let register_collector ?(registry = default) ~name f =
-  Mutex.protect registry.r_lock (fun () ->
-      registry.r_collectors <-
-        List.filter (fun (n, _) -> n <> name) registry.r_collectors
-        @ [ (name, f) ])
-
-let expose ?(registry = default) () =
+(* A family's samples must be contiguous, but its members are created
+   on demand (a phase histogram per new span name, a gauge per cache),
+   interleaved with other families: render families in order of their
+   first member, each with all of its members. *)
+let expose registries =
   let buf = Buffer.create 4096 in
-  let seen = ref [] in
-  List.iter (render_metric buf seen) (metrics_in_order registry);
-  let collectors =
-    Mutex.protect registry.r_lock (fun () -> registry.r_collectors)
+  let rec render = function
+    | [] -> ()
+    | m :: _ as metrics ->
+      let mine, rest =
+        List.partition (fun m' -> family m' = family m) metrics
+      in
+      render_header buf m;
+      List.iter (render_samples buf) mine;
+      render rest
   in
-  List.iter (fun (_, f) -> Buffer.add_string buf (f ())) collectors;
+  render (List.concat_map metrics_in_order registries);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
@@ -377,9 +379,9 @@ let phase_index = function
   | Tr.Bench -> 7
 
 (* Domain-local memo from span name to histogram, one table per phase:
-   the common case (span seen before on this domain) is a lock-free
-   Hashtbl read; the miss path does the locked registry find-or-create
-   once and caches the result. *)
+   the common case (span seen before on this domain) is a lock-free,
+   allocation-free Hashtbl read; the miss path does the locked registry
+   find-or-create once and caches the result. *)
 let span_memo_key :
     (string, histogram) Hashtbl.t array Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -387,9 +389,9 @@ let span_memo_key :
 
 let span_histogram phase name =
   let memo = (Domain.DLS.get span_memo_key).(phase_index phase) in
-  match Hashtbl.find_opt memo name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find memo name with
+  | h -> h
+  | exception Not_found ->
     let h =
       histogram
         ~help:"wall time of pipeline spans, by phase and span name"
@@ -399,10 +401,8 @@ let span_histogram phase name =
     Hashtbl.replace memo name h;
     h
 
-let span_observer phase name dur_us =
-  if Atomic.get on then
-    observe (span_histogram phase name)
-      (int_of_float (dur_us *. 1000.0))
+let span_observer phase name dur_ns =
+  if Atomic.get on then observe (span_histogram phase name) dur_ns
 
 let enable () =
   Atomic.set on true;

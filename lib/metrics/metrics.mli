@@ -24,10 +24,10 @@
       [if Metrics.enabled () then Metrics.observe h v] — one atomic
       load when metrics are off, gated in the bench
       ([metrics_overhead], BENCH_obs.json).
-    - {b one surface.} The process-wide {!default} registry also
-      renders registered {!register_collector} chunks (the engine's
-      [Stats] descriptor list, LRU/pool gauges), so counters,
-      histograms and gauges all come out of one {!expose} call.
+    - {b one counter system.} The engine's analysis counters
+      ([Sigrec.Stats]) are counters in a registry of their own, so
+      counters, histograms and gauges all come out of one {!expose}
+      call over the registries a scraper wants.
 
     {!enable} additionally installs the {!Sigrec_trace.Trace} span
     observer, so every span close (engine input/function/classify,
@@ -38,8 +38,8 @@
 type registry
 
 val create_registry : unit -> registry
-(** A private registry — used by tests and goldens; production code
-    shares {!default}. *)
+(** A private registry: one per engine's counters, and for tests and
+    goldens. *)
 
 val default : registry
 (** The process-wide registry: what {!enable}, the serve endpoint and
@@ -58,14 +58,19 @@ val disable : unit -> unit
 
 val reset : ?registry:registry -> unit -> unit
 (** Zero every counter, gauge and histogram shard in [registry]
-    (default {!default}); collectors and the top-K ring are untouched.
+    (default {!default}); the top-K ring is untouched.
     Bench plumbing — production never resets. *)
 
 (** {1 Counters} *)
 
 type counter
 
-val counter : ?registry:registry -> ?help:string -> string -> counter
+val counter :
+  ?registry:registry ->
+  ?help:string ->
+  ?labels:(string * string) list ->
+  string ->
+  counter
 (** [counter name] finds or creates the monotonic counter [name] (the
     family name {e without} the OpenMetrics [_total] suffix — that is
     added at exposition). Find-or-create keyed on [(name, labels)], so
@@ -73,6 +78,9 @@ val counter : ?registry:registry -> ?help:string -> string -> counter
 
 val inc : counter -> unit
 val add : counter -> int -> unit
+(** One atomic fetch-and-add: exact under any number of concurrent
+    writers, no lock, no allocation. *)
+
 val counter_value : counter -> int
 
 (** {1 Gauges} *)
@@ -87,7 +95,6 @@ val gauge :
   gauge
 
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Histograms} *)
 
@@ -146,8 +153,6 @@ val quantile : hist_snapshot -> float -> float
     one bucket of the exact sample quantile by construction. [nan] on
     an empty snapshot; the overflow bucket answers [infinity]. *)
 
-val hist_scale : histogram -> float
-
 val histograms :
   ?registry:registry ->
   unit ->
@@ -158,19 +163,12 @@ val histograms :
 
 (** {1 Exposition} *)
 
-val register_collector :
-  ?registry:registry -> name:string -> (unit -> string) -> unit
-(** Register a callback that renders an exposition chunk (complete
-    [# TYPE]-prefixed families, newline-terminated) at {!expose} time —
-    how the engine's [Stats] descriptor list and the LRU/pool gauges
-    join the surface without living in the registry. Re-registering
-    [name] replaces the previous callback. *)
-
-val expose : ?registry:registry -> unit -> string
-(** OpenMetrics text format: every registered metric family (grouped,
-    [# TYPE]/[# HELP] headers, [_total] counter suffix, cumulative
-    [le]-labelled histogram buckets with [_sum]/[_count]), then every
-    collector chunk, then the [# EOF] terminator. *)
+val expose : registry list -> string
+(** OpenMetrics text format over every metric of the given registries:
+    one family per name, in order of its first member, all its samples
+    together ([# TYPE]/[# HELP] headers, [_total] counter suffix,
+    cumulative [le]-labelled histogram buckets with [_sum]/[_count]),
+    then the [# EOF] terminator. *)
 
 (** {1 Runtime health helpers} *)
 

@@ -15,7 +15,7 @@ let hash_of_code code = Evm.Keccak.digest code
 
 let make code =
   let module Tr = Sigrec_trace.Trace in
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   let program = Symex.Exec.prepare code in
   let raw_cfg = Evm.Cfg.of_instructions (Symex.Exec.instructions program) in
   (* One whole-contract abstract-interpretation run from offset 0:
@@ -39,7 +39,7 @@ let make code =
     }
   in
   if Tr.enabled () then
-    Tr.complete Tr.Lift "contract" ~t0_us
+    Tr.complete Tr.Lift "contract" ~t0_ns
       [
         ("bytes", Tr.Int (String.length code));
         ("entries", Tr.Int (List.length t.entries));

@@ -72,8 +72,8 @@ type t = {
   reports : (string, report) Lru.t;
   layouts : (string, layout_report) Lru.t;
   verdicts : (string, classify_report) Lru.t;
-  lock : Mutex.t; (* guards the LRUs and [stats] *)
-  stats : Stats.t;
+  lock : Mutex.t; (* guards the LRUs *)
+  stats : Stats.t; (* atomic counters: workers count straight in *)
 }
 
 let make config =
@@ -152,9 +152,8 @@ let analyze_uncounted ~cfg ~stats ~hash code =
       List.map
         (fun { Ids.selector; entry_pc; entry_stack_depth = _ } ->
           (* wall clock per function, measured whether or not tracing is
-             on: one gettimeofday pair against milliseconds of work *)
+             on: one clock pair against milliseconds of work *)
           let ns0 = Tr.now_ns () in
-          let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
           let outcome =
             match
               Infer.infer ~stats ~config:cfg.Config.rules
@@ -182,8 +181,11 @@ let analyze_uncounted ~cfg ~stats ~hash code =
                   message = Printexc.to_string e;
                 }
           in
+          (* the span ends where [elapsed_ns] was read, so its duration
+             is exactly the outcome's *)
           if Tr.enabled () then
-            Tr.complete Tr.Engine "function" ~t0_us
+            Tr.complete Tr.Engine "function" ~t0_ns:ns0
+              ?t1_ns:(Option.map (( + ) ns0) (outcome_elapsed_ns outcome))
               [
                 ("selector", Tr.Str ("0x" ^ Evm.Hex.encode selector));
                 ("entry_pc", Tr.Int entry_pc);
@@ -229,7 +231,7 @@ let analyze_uncounted ~cfg ~stats ~hash code =
 
 let analyze ~cfg ~stats ~hash code =
   Stats.cache_miss stats;
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   (* interner traffic is domain-local and an analysis runs entirely in
      one domain, so the before/after delta is exactly this analysis's *)
   let ih0, im0 = Symex.Sexpr.interner_counters () in
@@ -237,7 +239,7 @@ let analyze ~cfg ~stats ~hash code =
   let ih1, im1 = Symex.Sexpr.interner_counters () in
   Stats.add_interner stats ~hits:(ih1 - ih0) ~misses:(im1 - im0);
   if Tr.enabled () then
-    Tr.complete Tr.Engine "input" ~t0_us
+    Tr.complete Tr.Engine "input" ~t0_ns
       [
         ("code_hash", Tr.Str report.code_hash);
         ("functions", Tr.Int (List.length report.outcomes));
@@ -265,8 +267,7 @@ let effective_jobs t =
 type 'a product = {
   name : string; (* its LRU, as [cache_stats] and traces name it *)
   lru : t -> (string, 'a) Lru.t;
-  analyze : t -> Stats.t -> hash:string -> string -> 'a;
-      (* the cold answer, counted into the calling worker's stats *)
+  analyze : t -> hash:string -> string -> 'a; (* the cold answer *)
   hit : Stats.t -> int -> unit; (* the counter a cached answer bumps *)
   cached : 'a -> 'a; (* the answer, marked as served from the cache *)
 }
@@ -274,10 +275,10 @@ type 'a product = {
 (* The one batch path every product runs: hash each input (unless the
    caller already holds the hashes), answer in-batch duplicates and LRU
    hits without re-analysis, fan the distinct misses out over the pool,
-   merge the workers' stats, fill the LRU counting its evictions, and
-   assemble the answers in input order — byte-identical whatever [jobs]
-   resolves to. Returns the answers and how many of them came from the
-   cache or an earlier input of the batch. *)
+   fill the LRU counting its evictions, and assemble the answers in
+   input order — byte-identical whatever [jobs] resolves to. Returns the
+   answers and how many of them came from the cache or an earlier input
+   of the batch. *)
 let run_batch ?hashes p t codes =
   let n = Array.length codes in
   let hashes =
@@ -293,9 +294,9 @@ let run_batch ?hashes p t codes =
   let first = Array.make n 0 in
   let fresh = Array.make n false in
   let work = ref [] in
+  let dups = ref 0 in
   Mutex.protect t.lock (fun () ->
       let seen = Hashtbl.create ((2 * n) + 1) in
-      let dups = ref 0 in
       for i = 0 to n - 1 do
         match Hashtbl.find_opt seen hashes.(i) with
         | Some j ->
@@ -309,68 +310,55 @@ let run_batch ?hashes p t codes =
           | None ->
             fresh.(i) <- true;
             work := i :: !work)
-      done;
-      if !dups > 0 then begin
-        Stats.add_deduped t.stats !dups;
-        if Tr.enabled () then
-          Tr.instant Tr.Engine "dedup" [ ("duplicates", Tr.Int !dups) ]
-      end);
+      done);
+  if !dups > 0 then begin
+    Stats.add_deduped t.stats !dups;
+    if Tr.enabled () then
+      Tr.instant Tr.Engine "dedup" [ ("duplicates", Tr.Int !dups) ]
+  end;
   let work = Array.of_list (List.rev !work) in
   let work_n = Array.length work in
   let jobs = Stdlib.min (effective_jobs t) (Stdlib.max 1 work_n) in
   (* Workers claim chunks of contiguous indices from a shared counter —
      dynamic balancing like per-item claiming, but with fewer atomic
-     operations and less false sharing on the answers array. Each
-     worker accumulates into its own Stats.t; no analysis state is
-     shared, so the per-item answers are identical whatever the
+     operations and less false sharing on the answers array. No
+     analysis state is shared and every counter update is atomic, so
+     the answers and the totals are identical whatever the
      interleaving. *)
   let chunk = Stdlib.max 1 (Stdlib.min 16 (work_n / (jobs * 8))) in
   let next = Atomic.make 0 in
-  let worker () =
-    let stats = Stats.create () in
-    let rec loop () =
-      let k0 = Atomic.fetch_and_add next chunk in
-      if k0 < work_n then begin
-        for k = k0 to Stdlib.min (k0 + chunk) work_n - 1 do
-          let i = work.(k) in
-          answers.(i) <- Some (p.analyze t stats ~hash:hashes.(i) codes.(i))
-        done;
-        loop ()
-      end
-    in
-    loop ();
-    stats
-  in
-  let worker_stats =
-    if jobs <= 1 then [ worker () ]
-    else begin
-      (* Fan out over the persistent pool: helpers are pooled domains
-         spawned once per process (warm interners), the calling domain
-         takes the remaining share. *)
-      Pool.ensure (jobs - 1);
-      let helpers = Stdlib.min (jobs - 1) (Pool.workers ()) in
-      let collected = Array.make helpers None in
-      let pending =
-        Pool.submit
-          (List.init helpers (fun k () -> collected.(k) <- Some (worker ())))
-      in
-      let mine = worker () in
-      Pool.await pending;
-      mine :: List.filter_map Fun.id (Array.to_list collected)
+  let rec worker () =
+    let k0 = Atomic.fetch_and_add next chunk in
+    if k0 < work_n then begin
+      for k = k0 to Stdlib.min (k0 + chunk) work_n - 1 do
+        let i = work.(k) in
+        answers.(i) <- Some (p.analyze t ~hash:hashes.(i) codes.(i))
+      done;
+      worker ()
     end
   in
+  if jobs <= 1 then worker ()
+  else begin
+    (* Fan out over the persistent pool: helpers are pooled domains
+       spawned once per process (warm interners), the calling domain
+       takes the remaining share. *)
+    Pool.ensure (jobs - 1);
+    let helpers = Stdlib.min (jobs - 1) (Pool.workers ()) in
+    let pending = Pool.submit (List.init helpers (fun _ -> worker)) in
+    worker ();
+    Pool.await pending
+  end;
   let hits = n - work_n in
-  Mutex.protect t.lock (fun () ->
-      (* stats merging is commutative, and the inserts are keyed by
-         distinct hashes, so the merged state does not depend on which
-         domain analyzed what *)
-      List.iter (fun s -> Stats.merge_into ~into:t.stats s) worker_stats;
-      let ev0 = Lru.evictions lru in
-      Array.iter
-        (fun i -> Lru.add lru hashes.(i) (Option.get answers.(i)))
-        work;
-      Stats.add_evictions t.stats (Lru.evictions lru - ev0);
-      if hits > 0 then p.hit t.stats hits);
+  (* the inserts are keyed by distinct hashes, so the LRU's state does
+     not depend on which domain analyzed what *)
+  Stats.add_evictions t.stats
+    (Mutex.protect t.lock (fun () ->
+         let ev0 = Lru.evictions lru in
+         Array.iter
+           (fun i -> Lru.add lru hashes.(i) (Option.get answers.(i)))
+           work;
+         Lru.evictions lru - ev0));
+  if hits > 0 then p.hit t.stats hits;
   let answers =
     Array.init n (fun i ->
         let a = Option.get answers.(first.(i)) in
@@ -403,7 +391,7 @@ let reports =
     name = "reports";
     lru = (fun t -> t.reports);
     analyze =
-      (fun t stats ~hash code -> analyze ~cfg:t.config ~stats ~hash code);
+      (fun t ~hash code -> analyze ~cfg:t.config ~stats:t.stats ~hash code);
     hit = Stats.add_cache_hits;
     cached = (fun r -> { r with from_cache = true });
   }
@@ -413,9 +401,9 @@ let layouts =
     name = "layouts";
     lru = (fun t -> t.layouts);
     analyze =
-      (fun _ stats ~hash code ->
+      (fun t ~hash code ->
         let layout = Layout.recover code in
-        Stats.add_layout stats
+        Stats.add_layout t.stats
           ~slots:(List.length layout.Layout.entries)
           ~unknown:layout.Layout.unknown_ops;
         {
@@ -458,9 +446,9 @@ let verdict_outcome (v : Classify.verdict) =
    verdict batch already computed — so the classifier pays for the
    storage pass only when the verdict needs the typed-state evidence,
    and at most once per bytecode. *)
-let classify_cold t stats ~hash code =
+let classify_cold t ~hash code =
   let report = run ~hash reports t code in
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   let verdict =
     Classify.run
       ~layout:(fun () -> (run ~hash layouts t code).layout)
@@ -468,13 +456,13 @@ let classify_cold t stats ~hash code =
       (evidence_of_report report)
   in
   if Tr.enabled () then
-    Tr.complete Tr.Engine "classify" ~t0_us
+    Tr.complete Tr.Engine "classify" ~t0_ns
       [
         ("code_hash", Tr.Str report.code_hash);
         ("label", Tr.Str (Classify.label verdict));
         ("probes", Tr.Int verdict.Classify.probes_run);
       ];
-  Stats.add_classification stats ~outcome:(verdict_outcome verdict)
+  Stats.add_classification t.stats ~outcome:(verdict_outcome verdict)
     ~probes:verdict.Classify.probes_run;
   {
     classify_code_hash = report.code_hash;
@@ -601,9 +589,7 @@ module Stream = struct
       s.s_len <- 0;
       let answers, hits = run_batch s.s_product s.s_engine codes in
       s.s_dedup <- s.s_dedup + hits;
-      if hits > 0 then
-        Mutex.protect s.s_engine.lock (fun () ->
-            Stats.add_stream_dedup s.s_engine.stats hits);
+      Stats.add_stream_dedup s.s_engine.stats hits;
       Array.iter s.s_emit answers;
       report_progress s (s.s_total - s.s_last_report >= s.s_every)
     end
@@ -626,12 +612,6 @@ let recover_stream ?batch t codes ~emit =
   let s = Stream.start ?batch t ~emit in
   Seq.iter (Stream.feed s) codes;
   Stream.finish s
-
-let add_stream_lines t ~lines ~skipped =
-  Mutex.protect t.lock (fun () ->
-      Stats.add_stream_lines t.stats ~lines ~skipped)
-
-let cache_size t = Mutex.protect t.lock (fun () -> Lru.length t.reports)
 
 let cache_stats t =
   let row p =

@@ -17,8 +17,8 @@
     {!outcome}, so callers can tell "no public functions" from
     "symbolic execution gave up" from "the analysis crashed".
 
-    An engine is safe to share between domains; all cache and stats
-    mutation happens under an internal lock.
+    An engine is safe to share between domains: cache mutation happens
+    under an internal lock, and every {!stats} counter is atomic.
 
     Engines are configured with one explicit {!Config.t} record
     ({!make}) rather than a sprawl of optional arguments. *)
@@ -247,25 +247,20 @@ val recover_stream :
     which batch first analyzes a given bytecode depends on the batch
     boundaries. *)
 
-val add_stream_lines : t -> lines:int -> skipped:int -> unit
-(** [Stats.add_stream_lines] under the engine lock: what a streaming
-    reader records once its input is drained. *)
-
 (** {1 Introspection} *)
 
 val stats : t -> Stats.t
 (** Cumulative counters: rule usage, functions recovered, paths
     explored, each product's fresh answers and cache hits, in-batch
-    duplicates and LRU evictions across all products. *)
-
-val cache_size : t -> int
-(** Entries in the report LRU. *)
+    duplicates and LRU evictions across all products. Worker domains
+    count into it directly; a streaming reader records its line totals
+    here with [Stats.add_stream_lines]. *)
 
 val effective_jobs : t -> int
 (** The worker-domain count a batch actually uses: [Config.jobs]
     clamped to the hardware ([Domain.recommended_domain_count ()]), or
-    the hardware count when [jobs = 0]. The ["workers"] field a serve
-    [metrics] reply reports. *)
+    the hardware count when [jobs = 0]. The [sigrec_engine_workers]
+    gauge a serve [metrics] reply reports. *)
 
 val cache_stats : t -> (string * int * int * int) list
 (** Every LRU the engine owns as [(name, length, capacity, evictions)]

@@ -51,7 +51,7 @@ let infer ?stats ?config ?(static_prune = true) ?budget ~contract ~entry () =
       Stats.add_paths s trace.Trace.paths_explored;
       Stats.add_pruned s trace.Trace.forks_pruned)
     stats;
-  let t_rules = if Tr.enabled () then Tr.now_us () else 0. in
+  let t_rules = if Tr.enabled () then Tr.now_ns () else 0 in
   let ctx =
     Rules.make ?stats ?config ~deps:contract.Contract.deps trace
       contract.Contract.cfg
@@ -446,7 +446,7 @@ let infer ?stats ?config ?(static_prune = true) ?budget ~contract ~entry () =
     |> List.sort (fun a b -> compare a.head b.head)
   in
   if Tr.enabled () then
-    Tr.complete Tr.Rules "classify" ~t0_us:t_rules
+    Tr.complete Tr.Rules "classify" ~t0_ns:t_rules
       [
         ("entry", Tr.Int entry);
         ("params", Tr.Int (List.length ordered));

@@ -182,7 +182,7 @@ let check_contract ?stats ?config ?static_prune ?budget contract =
   let verdicts =
     List.map
       (fun (r : Recover.recovered) ->
-        let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+        let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
         let absint =
           Absint.analyze ~depth:1 ~entry:r.Recover.entry_pc
             contract.Contract.cfg
@@ -190,7 +190,7 @@ let check_contract ?stats ?config ?static_prune ?budget contract =
         let summary = absint.Absint.summary in
         let findings = check_function ~global ~summary r in
         if Tr.enabled () then
-          Tr.complete Tr.Lint "verdict" ~t0_us
+          Tr.complete Tr.Lint "verdict" ~t0_ns
             [
               ("selector", Tr.Str ("0x" ^ r.Recover.selector_hex));
               ("findings", Tr.Int (List.length findings));
@@ -263,7 +263,7 @@ let explained_slots (layout : Layout.t) =
 
 let check_layout ?stats code =
   let module Tr = Sigrec_trace.Trace in
-  let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   let contract = Contract.make code in
   let layout = Layout.recover code in
   let explained = explained_slots layout in
@@ -339,7 +339,7 @@ let check_layout ?stats code =
     (fun s -> if layout_agree v then Stats.lint_agree s else Stats.lint_disagree s)
     stats;
   if Tr.enabled () then
-    Tr.complete Tr.Layout "lint" ~t0_us
+    Tr.complete Tr.Layout "lint" ~t0_ns
       [
         ("selectors", Tr.Int v.selectors_run);
         ("writes_observed", Tr.Int v.writes_observed);

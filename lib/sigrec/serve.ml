@@ -17,70 +17,25 @@ module Mx = Sigrec_metrics.Metrics
 type t = {
   engine : Engine.t;
   started_ns : int;
-  mutable requests : int; (* requests answered, including failed ones *)
+  requests : Mx.counter; (* requests answered, including failed ones *)
   mutable last_op : string; (* op of the request being handled, for the
                                per-op latency histogram *)
 }
 
-(* The engine-side exposition chunk: the Stats descriptor list rendered
-   as counter families, plus the LRU/pool/service gauges that live in
-   engine or serve state rather than the metric registry. Registered as
-   a collector so [Metrics.expose] emits one self-contained surface. *)
-let engine_exposition t () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Stats.to_openmetrics (Engine.stats t.engine));
-  (* [lru] prefix, not [cache]: the Stats descriptor list already owns
-     the sigrec_cache_* family names (hits/misses/evictions of the
-     report cache), and a family must not appear twice in one
-     exposition *)
-  let caches = Engine.cache_stats t.engine in
-  Buffer.add_string b "# TYPE sigrec_lru_entries gauge\n";
-  List.iter
-    (fun (name, len, _, _) ->
-      Buffer.add_string b
-        (Printf.sprintf "sigrec_lru_entries{cache=%S} %d\n" name len))
-    caches;
-  Buffer.add_string b "# TYPE sigrec_lru_capacity gauge\n";
-  List.iter
-    (fun (name, _, cap, _) ->
-      Buffer.add_string b
-        (Printf.sprintf "sigrec_lru_capacity{cache=%S} %d\n" name cap))
-    caches;
-  Buffer.add_string b "# TYPE sigrec_lru_evictions counter\n";
-  List.iter
-    (fun (name, _, _, ev) ->
-      Buffer.add_string b
-        (Printf.sprintf "sigrec_lru_evictions_total{cache=%S} %d\n" name ev))
-    caches;
-  Buffer.add_string b "# TYPE sigrec_pool_workers gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "sigrec_pool_workers %d\n" (Pool.workers ()));
-  Buffer.add_string b "# TYPE sigrec_engine_workers gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "sigrec_engine_workers %d\n"
-       (Engine.effective_jobs t.engine));
-  Buffer.add_string b "# TYPE sigrec_serve_requests counter\n";
-  Buffer.add_string b
-    (Printf.sprintf "sigrec_serve_requests_total %d\n" t.requests);
-  Buffer.add_string b "# TYPE sigrec_serve_uptime_seconds gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "sigrec_serve_uptime_seconds %.3f\n"
-       (float_of_int (Tr.now_ns () - t.started_ns) *. 1e-9));
-  Buffer.contents b
-
+(* The service's own figures live in the engine's registry, next to the
+   counters they describe, so one service's exposition never mixes in
+   another's. *)
 let create config =
-  let t =
-    {
-      engine = Engine.make config;
-      started_ns = Tr.now_ns ();
-      requests = 0;
-      last_op = "other";
-    }
-  in
-  (* replace-by-name: the newest service owns the process-wide chunk,
-     so tests creating many services stay well-defined *)
-  Mx.register_collector ~name:"engine" (engine_exposition t);
-  t
+  let engine = Engine.make config in
+  {
+    engine;
+    started_ns = Tr.now_ns ();
+    requests =
+      Mx.counter
+        ~registry:(Stats.registry (Engine.stats engine))
+        "sigrec_serve_requests";
+    last_op = "other";
+  }
 
 let engine t = t.engine
 
@@ -130,36 +85,36 @@ let codes_response t id (field, answer) req =
       ]
   | _ -> error_response id "\"codes\" must be an array of hex strings"
 
+(* The metrics op: the OpenMetrics exposition of the process-wide
+   registry (phase and request latency, pool hand-off, GC) and the
+   engine's (its counters plus the LRU, worker and service figures,
+   refreshed here), as one JSON-escaped string field. *)
 let metrics_response t id =
-  let stats = Engine.stats t.engine in
-  Json.obj
-    [
-      ("id", id);
-      ("ok", "true");
-      ("requests", string_of_int t.requests);
-      ("uptime_ns", string_of_int (Tr.now_ns () - t.started_ns));
-      ("cache_size", string_of_int (Engine.cache_size t.engine));
-      ( "cache_capacity",
-        string_of_int (Engine.config t.engine).Engine.Config.cache_capacity
-      );
-      ("pool_workers", string_of_int (Pool.workers ()));
-      ("workers", string_of_int (Engine.effective_jobs t.engine));
-      ("trace_enabled", string_of_bool (Tr.recording ()));
-      ("stats", Stats.to_json stats);
-    ]
-
-(* v2 of the metrics op: {"op":"metrics","format":"openmetrics"} gets
-   the full Prometheus-scrapeable exposition (registry histograms and
-   gauges plus the engine collector chunk) as one JSON-escaped string
-   field; the legacy JSON shape above stays the default. *)
-let openmetrics_response id =
+  let registry = Stats.registry (Engine.stats t.engine) in
+  let set ?labels name v =
+    Mx.set_gauge (Mx.gauge ~registry ?labels name) (float_of_int v)
+  in
+  List.iter
+    (fun (name, len, cap, ev) ->
+      let labels = [ ("cache", name) ] in
+      set ~labels "sigrec_lru_entries" len;
+      set ~labels "sigrec_lru_capacity" cap;
+      (* the LRU counts its own evictions; its counter catches up *)
+      let c = Mx.counter ~registry ~labels "sigrec_lru_evictions" in
+      Mx.add c (ev - Mx.counter_value c))
+    (Engine.cache_stats t.engine);
+  set "sigrec_pool_workers" (Pool.workers ());
+  set "sigrec_engine_workers" (Engine.effective_jobs t.engine);
+  Mx.set_gauge
+    (Mx.gauge ~registry "sigrec_serve_uptime_seconds")
+    (float_of_int (Tr.now_ns () - t.started_ns) *. 1e-9);
   Mx.sample_gc ();
   Json.obj
     [
       ("id", id);
       ("ok", "true");
       ("format", Json.quote "openmetrics");
-      ("exposition", Json.quote (Mx.expose ()));
+      ("exposition", Json.quote (Mx.expose [ Mx.default; registry ]));
     ]
 
 let top_response id =
@@ -185,7 +140,7 @@ let top_response id =
     ]
 
 let handle_line t line =
-  t.requests <- t.requests + 1;
+  Mx.inc t.requests;
   match Json.parse line with
   | Error msg -> reply (error_response "null" ("parse error " ^ msg))
   | Ok req ->
@@ -223,13 +178,11 @@ let handle_line t line =
             | Some _ -> reply (top_response id)
             | None ->
               (match Json.member "format" req with
-              | Some f when Json.to_string_opt f = Some "openmetrics" ->
-                reply (openmetrics_response id)
-              | Some _ ->
+              | Some f when Json.to_string_opt f <> Some "openmetrics" ->
                 reply
                   (error_response id
                      "unknown \"format\" (expected \"openmetrics\")")
-              | None -> reply (metrics_response t id)))
+              | _ -> reply (metrics_response t id)))
           | "stream" ->
             {
               response =
@@ -315,7 +268,8 @@ let run_stream t id ic oc =
       end
   done;
   let contracts = Engine.Stream.finish session in
-  Engine.add_stream_lines t.engine ~lines:!lines ~skipped:!skipped;
+  Stats.add_stream_lines (Engine.stats t.engine) ~lines:!lines
+    ~skipped:!skipped;
   emit_line
     (Json.obj
        [

@@ -24,16 +24,19 @@
       classifications of the same bytecode are answered from the
       engine's verdict LRU ([from_cache] flips to [true] and
       [Stats.classify_cache_hits] counts them);
-    - metrics: cumulative {!Stats} JSON plus request count, uptime,
-      cache size/capacity, pool size and ["workers"] (the effective,
-      hardware-clamped worker count — {!Engine.effective_jobs}). Two
-      v2 variants select alternate shapes:
-      [{"op":"metrics","format":"openmetrics"}] answers with the full
-      OpenMetrics exposition ({!Sigrec_metrics.Metrics.expose} —
-      phase-latency histograms, pool/LRU/GC gauges, the {!Stats}
-      counter families) as one JSON-escaped ["exposition"] string;
-      [{"op":"metrics","top":true}] answers with ["slowest"], the
-      top-K slowest-contracts ring ([code_hash] / [elapsed_ns] /
+    - metrics: [{"id":…, "ok":true, "format":"openmetrics",
+      "exposition":"…"}] — the OpenMetrics exposition
+      ({!Sigrec_metrics.Metrics.expose}) of the process-wide registry
+      (phase and request latency histograms, pool hand-off, GC gauges)
+      and the engine's {!Stats} registry (every counter family, rule
+      firings as [sigrec_rule_fired{rule=…}], the per-LRU
+      [sigrec_lru_*] figures, [sigrec_pool_workers],
+      [sigrec_engine_workers] — {!Engine.effective_jobs} —,
+      [sigrec_serve_requests] and [sigrec_serve_uptime_seconds]) as
+      one JSON-escaped string. ["format"] may be omitted or
+      ["openmetrics"]; any other value is an error.
+      [{"op":"metrics","top":true}] answers with ["slowest"] instead,
+      the top-K slowest-contracts ring ([code_hash] / [elapsed_ns] /
       per-phase [detail]);
     - any error: [{"id":…, "ok":false, "error":"…"}] — a malformed
       request never kills the daemon.
@@ -55,11 +58,7 @@
 type t
 
 val create : Engine.Config.t -> t
-(** A fresh service around a fresh engine. Also registers the engine's
-    exposition chunk as the process-wide ["engine"] metrics collector
-    (replace-by-name: the newest service owns it), so a subsequent
-    {!Sigrec_metrics.Metrics.expose} includes the Stats counters and
-    LRU/pool gauges without further wiring. *)
+(** A fresh service around a fresh engine. *)
 
 val engine : t -> Engine.t
 

@@ -1,19 +1,26 @@
-(** Typed analysis counters.
+(** Typed analysis counters: per-rule usage counts (Fig. 19), each
+    product's fresh answers and cache hits, the symbolic-execution path
+    totals, stream and lint tallies.
 
-    Replaces the [(string, int) Hashtbl.t] side-channel that used to be
-    threaded through [Recover.recover] / [Infer.infer] / [Rules.make]:
-    per-rule usage counts (Fig. 19), engine cache hits/misses, and the
-    symbolic-execution path totals. A [t] is cheap to create; parallel
-    workers each accumulate into their own and the engine combines them
-    with {!merge}, which is associative and commutative, so per-domain
-    stats merge deterministically regardless of scheduling. *)
+    A [t] is a private {!Sigrec_metrics.Metrics} registry holding one
+    counter per scalar (family [sigrec_<name>], in the descriptor order
+    {!scalar_counters} lists) and the 31 rule counters as one
+    [sigrec_rule_fired] family labelled by [rule]. Every update is one
+    atomic add, so any number of domains count into one [t] exactly,
+    without a lock and without a merge step. *)
 
 type t
 
 val create : unit -> t
 
+val registry : t -> Sigrec_metrics.Metrics.registry
+(** The registry behind the counters, for exposition
+    ({!Sigrec_metrics.Metrics.expose}) and for figures that belong next
+    to them (the engine's LRU and the service's request gauges). *)
+
 val hit_rule : t -> string -> unit
-(** Count one firing of the named rule (["R1"] .. ["R31"]). *)
+(** Count one firing of the named rule (["R1"] .. ["R31"]).
+    @raise Invalid_argument on any other name. *)
 
 val rule_count : t -> string -> int
 (** Firings recorded for the named rule; 0 when never fired. *)
@@ -65,7 +72,7 @@ val intern_misses : t -> int
 (** Expression-interner traffic ({!Symex.Sexpr.interner_counters})
     attributed to the engine's analyses: a miss allocates a fresh node,
     a hit reuses one. Recorded as per-analysis deltas of the worker
-    domain's counters, so merging worker stats stays commutative. *)
+    domain's counters. *)
 
 val add_evictions : t -> int -> unit
 val cache_evictions : t -> int
@@ -117,12 +124,6 @@ val classify_unknown : t -> int
 val classify_probes : t -> int
 val classify_cache_hits : t -> int
 
-val merge : t -> t -> t
-(** Pointwise sum into a fresh [t]; neither argument is modified. *)
-
-val merge_into : into:t -> t -> unit
-(** Pointwise sum in place. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump: non-zero rule counters, cache ratio, paths. *)
 
@@ -137,12 +138,3 @@ val scalar_counters : t -> (string * int) list
     descriptor order both {!pp} and {!to_json} render through —
     exported so tests can assert the rendered surfaces stay in sync
     with the descriptor list. *)
-
-val to_openmetrics : ?prefix:string -> t -> string
-(** The third renderer off the same descriptor list: an OpenMetrics
-    exposition chunk — one [counter] family per scalar ([prefix ^ key],
-    default prefix ["sigrec_"], with the [_total] sample suffix) plus
-    one [prefix ^ "rule_fired"] family carrying all 31 canonical rule
-    counters under a [rule] label. Fed to the metrics registry as a
-    collector so stats render through the same surface as histograms
-    and gauges. *)

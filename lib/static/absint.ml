@@ -560,7 +560,7 @@ let fall_edge (b : Cfg.block) =
 (* -- the fixpoint ----------------------------------------------------- *)
 
 let analyze ?(depth = 0) ~entry cfg =
-  let t0 = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0 = if Tr.enabled () then Tr.now_ns () else 0 in
   let iterations = ref 0 in
   let entry_states : (int, astate) Hashtbl.t = Hashtbl.create 64 in
   let visits = Hashtbl.create 64 in
@@ -769,7 +769,7 @@ let analyze ?(depth = 0) ~entry cfg =
   (* a diverged analysis has no business steering the executor *)
   if not converged then Hashtbl.reset prune;
   if Tr.enabled () then
-    Tr.complete Tr.Absint "fixpoint" ~t0_us:t0
+    Tr.complete Tr.Absint "fixpoint" ~t0_ns:t0
       [
         ("entry", Tr.Int entry);
         ("iterations", Tr.Int !iterations);

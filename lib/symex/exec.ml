@@ -183,7 +183,7 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
     ~entry ~init_stack () =
   let r = Stdlib.Domain.DLS.get recorder_key in
   reset_recorder r;
-  let t0 = if Tr.enabled () then Tr.now_us () else 0. in
+  let t0 = if Tr.enabled () then Tr.now_ns () else 0 in
   let { code; by_offset; jumpdests; _ } = program in
   (* free-symbol names are per-run so that a run's trace depends only on
      its own inputs: re-running the same (program, entry) yields
@@ -489,7 +489,7 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
     done
   done;
   if Tr.enabled () then
-    Tr.complete Tr.Symex "run" ~t0_us:t0
+    Tr.complete Tr.Symex "run" ~t0_ns:t0
       [
         ("entry", Tr.Int entry);
         ("paths", Tr.Int r.paths);

@@ -18,19 +18,15 @@ let escape s =
 
 let quote s = "\"" ^ escape s ^ "\""
 
-(* A float that parses back to the same value and is unambiguously a
-   JSON number with a fractional part (so [of_jsonl] can tell it from
-   an int). *)
-let float_rt f =
-  let s = Printf.sprintf "%.17g" f in
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
-  else s ^ ".0"
-
 let value_json = function
   | Trace.Int i -> string_of_int i
   | Trace.Str s -> quote s
   | Trace.Bool b -> string_of_bool b
-  | Trace.Float f -> float_rt f
+  | Trace.Float f -> Printf.sprintf "%.17g" f
+
+(* Chrome wants microseconds; integer division keeps the rendering
+   exact (a float conversion would round once readings pass 2^53 ns). *)
+let us_of_ns ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
 
 let args_json args =
   "{"
@@ -47,15 +43,15 @@ let kind_name = function
 
 let chrome_event (e : Trace.event) =
   let common =
-    Printf.sprintf "\"name\":%s,\"cat\":%s,\"pid\":1,\"tid\":%d,\"ts\":%.3f"
+    Printf.sprintf "\"name\":%s,\"cat\":%s,\"pid\":1,\"tid\":%d,\"ts\":%s"
       (quote e.Trace.name)
       (quote (Trace.phase_name e.Trace.phase))
-      e.Trace.dom e.Trace.ts_us
+      e.Trace.dom (us_of_ns e.Trace.ts_ns)
   in
   match e.Trace.kind with
   | Trace.Complete ->
-    Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%.3f,\"args\":%s}" common
-      e.Trace.dur_us (args_json e.Trace.args)
+    Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%s,\"args\":%s}" common
+      (us_of_ns e.Trace.dur_ns) (args_json e.Trace.args)
   | Trace.Instant ->
     Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"t\",\"args\":%s}" common
       (args_json e.Trace.args)
@@ -72,9 +68,9 @@ let to_chrome events =
 
 let jsonl_event (e : Trace.event) =
   Printf.sprintf
-    "{\"ts_us\":%s,\"dur_us\":%s,\"domain\":%d,\"phase\":%s,\"name\":%s,\
+    "{\"ts_ns\":%d,\"dur_ns\":%d,\"domain\":%d,\"phase\":%s,\"name\":%s,\
      \"kind\":%s,\"args\":%s}"
-    (float_rt e.Trace.ts_us) (float_rt e.Trace.dur_us) e.Trace.dom
+    e.Trace.ts_ns e.Trace.dur_ns e.Trace.dom
     (quote (Trace.phase_name e.Trace.phase))
     (quote e.Trace.name)
     (quote (kind_name e.Trace.kind))
@@ -83,238 +79,22 @@ let jsonl_event (e : Trace.event) =
 let to_jsonl events =
   String.concat "" (List.map (fun e -> jsonl_event e ^ "\n") events)
 
-(* -- JSONL parsing (round-trip) ---------------------------------------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jint of int
-  | Jfloat of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'u' ->
-          advance ();
-          if !pos + 3 >= n then fail "bad \\u escape";
-          let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-          pos := !pos + 3;
-          (* the emitter only escapes control bytes, so this is ASCII *)
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> fail "bad escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text then
-      Jfloat (float_of_string text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Jint i
-      | None -> Jfloat (float_of_string text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jlist []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        Jlist (items [])
-      end
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
-
-let phase_of_name = function
-  | "engine" -> Trace.Engine
-  | "lift" -> Trace.Lift
-  | "absint" -> Trace.Absint
-  | "symex" -> Trace.Symex
-  | "rules" -> Trace.Rules
-  | "lint" -> Trace.Lint
-  | "layout" -> Trace.Layout
-  | "bench" -> Trace.Bench
-  | p -> raise (Bad ("unknown phase " ^ p))
-
-let kind_of_name = function
-  | "span" -> Trace.Complete
-  | "instant" -> Trace.Instant
-  | "counter" -> Trace.Counter
-  | k -> raise (Bad ("unknown kind " ^ k))
-
-let event_of_json j =
-  let field obj k =
-    match List.assoc_opt k obj with
-    | Some v -> v
-    | None -> raise (Bad ("missing field " ^ k))
-  in
-  match j with
-  | Jobj obj ->
-    let num = function
-      | Jint i -> float_of_int i
-      | Jfloat f -> f
-      | _ -> raise (Bad "expected number")
-    in
-    let str = function
-      | Jstr s -> s
-      | _ -> raise (Bad "expected string")
-    in
-    let args =
-      match field obj "args" with
-      | Jobj kvs ->
-        List.map
-          (fun (k, v) ->
-            ( k,
-              match v with
-              | Jint i -> Trace.Int i
-              | Jfloat f -> Trace.Float f
-              | Jstr s -> Trace.Str s
-              | Jbool b -> Trace.Bool b
-              | _ -> raise (Bad "unsupported arg value") ))
-          kvs
-      | _ -> raise (Bad "args must be an object")
-    in
-    {
-      Trace.ts_us = num (field obj "ts_us");
-      dur_us = num (field obj "dur_us");
-      dom = (match field obj "domain" with
-            | Jint i -> i
-            | _ -> raise (Bad "domain must be an int"));
-      phase = phase_of_name (str (field obj "phase"));
-      name = str (field obj "name");
-      kind = kind_of_name (str (field obj "kind"));
-      args;
-    }
-  | _ -> raise (Bad "event must be an object")
-
-let of_jsonl text =
-  try
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map (fun line -> event_of_json (parse_json line))
-  with Bad msg -> failwith ("Export.of_jsonl: " ^ msg)
-
 (* -- human summary ----------------------------------------------------- *)
 
 type span_agg = {
   mutable count : int;
-  mutable total_us : float;
-  mutable max_us : float;
+  mutable total_ns : int;
+  mutable max_ns : int;
   buckets : int array; (* <10us, <100us, <1ms, <10ms, >=10ms *)
 }
 
 let bucket_labels = [| "<10us"; "<100us"; "<1ms"; "<10ms"; ">=10ms" |]
 
-let bucket_of dur =
-  if dur < 10. then 0
-  else if dur < 100. then 1
-  else if dur < 1_000. then 2
-  else if dur < 10_000. then 3
+let bucket_of dur_ns =
+  if dur_ns < 10_000 then 0
+  else if dur_ns < 100_000 then 1
+  else if dur_ns < 1_000_000 then 2
+  else if dur_ns < 10_000_000 then 3
   else 4
 
 let rule_number name =
@@ -325,6 +105,7 @@ let rule_number name =
   else max_int
 
 let summary events =
+  let us ns = float_of_int ns /. 1000. in
   let buf = Buffer.create 1024 in
   let spans : (string * string, span_agg) Hashtbl.t = Hashtbl.create 32 in
   let rules : (string, int * int) Hashtbl.t = Hashtbl.create 32 in
@@ -339,15 +120,15 @@ let summary events =
           | Some a -> a
           | None ->
             let a =
-              { count = 0; total_us = 0.; max_us = 0.; buckets = Array.make 5 0 }
+              { count = 0; total_ns = 0; max_ns = 0; buckets = Array.make 5 0 }
             in
             Hashtbl.replace spans k a;
             a
         in
         agg.count <- agg.count + 1;
-        agg.total_us <- agg.total_us +. e.Trace.dur_us;
-        if e.Trace.dur_us > agg.max_us then agg.max_us <- e.Trace.dur_us;
-        let b = bucket_of e.Trace.dur_us in
+        agg.total_ns <- agg.total_ns + e.Trace.dur_ns;
+        agg.max_ns <- Stdlib.max agg.max_ns e.Trace.dur_ns;
+        let b = bucket_of e.Trace.dur_ns in
         agg.buckets.(b) <- agg.buckets.(b) + 1
       | Trace.Instant when e.Trace.phase = Trace.Rules ->
         let fired =
@@ -380,7 +161,7 @@ let summary events =
         Hashtbl.fold
           (fun (p, name) agg acc -> if p = phase then (name, agg) :: acc else acc)
           spans []
-        |> List.sort (fun (_, a) (_, b) -> Float.compare b.total_us a.total_us)
+        |> List.sort (fun (_, a) (_, b) -> Int.compare b.total_ns a.total_ns)
       in
       if rows <> [] then begin
         Buffer.add_string buf (Printf.sprintf "  %s\n" phase);
@@ -390,9 +171,9 @@ let summary events =
               (Printf.sprintf
                  "    %-18s %6d spans  total %9.1f us  mean %8.1f us  max \
                   %8.1f us\n"
-                 name agg.count agg.total_us
-                 (agg.total_us /. float_of_int (Stdlib.max 1 agg.count))
-                 agg.max_us);
+                 name agg.count (us agg.total_ns)
+                 (us agg.total_ns /. float_of_int (Stdlib.max 1 agg.count))
+                 (us agg.max_ns));
             let hist =
               String.concat "  "
                 (List.filteri

@@ -15,8 +15,8 @@ type arg = string * value
 type kind = Complete | Instant | Counter
 
 type event = {
-  ts_us : float;
-  dur_us : float;
+  ts_ns : int;
+  dur_ns : int;
   dom : int;
   phase : phase;
   name : string;
@@ -37,7 +37,7 @@ let default_config = { capacity = 65536; sample_every = 1024 }
    whichever combination is live. *)
 let on = Atomic.make false
 
-let observer : (phase -> string -> float -> unit) option Atomic.t =
+let observer : (phase -> string -> int -> unit) option Atomic.t =
   Atomic.make None
 
 let active = Atomic.make false
@@ -58,20 +58,14 @@ let capacity = ref default_config.capacity
 let mask = ref (default_config.sample_every - 1)
 let sample_mask () = !mask
 
-(* Epoch for [now_us]: wall clock at [enable]. [epoch0] anchors
-   [now_ns] at module load so the float->int conversion keeps full
-   precision over any realistic process lifetime. *)
-let epoch0 = Unix.gettimeofday ()
-let epoch = Atomic.make epoch0
-let now_ns () = int_of_float ((Unix.gettimeofday () -. epoch0) *. 1e9)
-let now_us () = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* -- per-domain ring buffers ------------------------------------------ *)
 
 let dummy =
   {
-    ts_us = 0.;
-    dur_us = 0.;
+    ts_ns = 0;
+    dur_ns = 0;
     dom = 0;
     phase = Engine;
     name = "";
@@ -113,7 +107,7 @@ let push b ev =
 let record phase name kind ~ts ~dur args =
   let b = buffer () in
   push b
-    { ts_us = ts; dur_us = dur; dom = b.dom_id; phase; name; kind; args }
+    { ts_ns = ts; dur_ns = dur; dom = b.dom_id; phase; name; kind; args }
 
 (* -- emission --------------------------------------------------------- *)
 
@@ -121,35 +115,18 @@ let record phase name kind ~ts ~dur args =
    [recording]: with just the observer live, the probe costs the same
    two loads and still allocates nothing. *)
 let instant phase name args =
-  if recording () then record phase name Instant ~ts:(now_us ()) ~dur:0. args
+  if recording () then record phase name Instant ~ts:(now_ns ()) ~dur:0 args
 
 let counter phase name v =
   if recording () then
-    record phase name Counter ~ts:(now_us ()) ~dur:0. [ (name, Int v) ]
+    record phase name Counter ~ts:(now_ns ()) ~dur:0 [ (name, Int v) ]
 
-let complete phase name ~t0_us args =
-  if recording () then
-    record phase name Complete ~ts:t0_us ~dur:(now_us () -. t0_us) args;
-  match Atomic.get observer with
-  | Some f -> f phase name (now_us () -. t0_us)
-  | None -> ()
-
-let with_span phase ?args name f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = now_us () in
-    let finish () =
-      let a = match args with None -> [] | Some g -> g () in
-      complete phase name ~t0_us:t0 a
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
+(* One clock reading serves the ring and the observer, so a span's ring
+   duration and its histogram observation are the same integer. *)
+let complete phase name ~t0_ns ?(t1_ns = now_ns ()) args =
+  let dur = t1_ns - t0_ns in
+  if recording () then record phase name Complete ~ts:t0_ns ~dur args;
+  match Atomic.get observer with Some f -> f phase name dur | None -> ()
 
 (* -- control and collection ------------------------------------------- *)
 
@@ -166,7 +143,6 @@ let enable ?(config = default_config) () =
   let rec pow2 n = if n >= config.sample_every then n else pow2 (2 * n) in
   mask := pow2 1 - 1;
   reset ();
-  Atomic.set epoch (Unix.gettimeofday ());
   Atomic.set on true;
   refresh_active ()
 
@@ -182,7 +158,7 @@ let buffer_events b =
 let collect () =
   let buffers = Mutex.protect registry_lock (fun () -> !registry) in
   List.concat_map buffer_events buffers
-  |> List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us)
+  |> List.stable_sort (fun a b -> Int.compare a.ts_ns b.ts_ns)
 
 let dropped () =
   let buffers = Mutex.protect registry_lock (fun () -> !registry) in

@@ -6,17 +6,13 @@
     the disabled path is a single atomic load and allocates nothing, so
     instrumentation can stay in the hot paths permanently.
 
-    Two usage idioms:
-
-    - coarse call sites (CLI, bench, per-contract work) use
-      {!with_span}, which wraps a closure;
-    - hot call sites use the allocation-free explicit pattern:
+    Hot call sites use the allocation-free explicit pattern:
 
     {[
-      let t0 = if Trace.enabled () then Trace.now_us () else 0. in
+      let t0 = if Trace.enabled () then Trace.now_ns () else 0 in
       ... work ...
       if Trace.enabled () then
-        Trace.complete Trace.Symex "run" ~t0_us:t0 [ ("paths", Trace.Int n) ]
+        Trace.complete Trace.Symex "run" ~t0_ns:t0 [ ("paths", Trace.Int n) ]
     ]}
 
     where the argument list is only constructed when tracing is on.
@@ -26,10 +22,11 @@
     that produced them and {!collect} sees every domain's stream. When a
     ring wraps, the oldest events are dropped and counted ({!dropped}).
 
-    Timestamps are microseconds since {!enable} (wall clock), which is
-    what the Chrome [trace_event] format wants; {!now_ns} is a
-    monotonic-enough integer nanosecond reading for latency deltas that
-    must work with tracing off. *)
+    There is one clock, {!now_ns}: integer nanoseconds from the
+    system's monotonic clock. Span timestamps, span durations, the
+    metrics layer's latency observations and the engine's per-function
+    [elapsed_ns] all read it; exporters convert units only when they
+    render. *)
 
 (** Pipeline phase taxonomy. One per architectural layer; rendered as
     the Chrome trace category. *)
@@ -49,13 +46,13 @@ type value = Int of int | Str of string | Bool of bool | Float of float
 type arg = string * value
 
 type kind =
-  | Complete  (** a span: [ts_us] start, [dur_us] duration *)
+  | Complete  (** a span: [ts_ns] start, [dur_ns] duration *)
   | Instant   (** a point event *)
   | Counter   (** a sampled counter value (single [Int] arg) *)
 
 type event = {
-  ts_us : float;   (** µs since the {!enable} epoch *)
-  dur_us : float;  (** duration for [Complete]; [0.] otherwise *)
+  ts_ns : int;   (** {!now_ns} reading at the event (span start) *)
+  dur_ns : int;  (** duration for [Complete]; [0] otherwise *)
   dom : int;       (** numeric id of the emitting domain *)
   phase : phase;
   name : string;
@@ -74,7 +71,7 @@ type config = {
 val default_config : config
 
 val enable : ?config:config -> unit -> unit
-(** Reset all buffers, set the timestamp epoch to now, start recording. *)
+(** Reset all buffers and start recording. *)
 
 val disable : unit -> unit
 (** Stop recording. Buffered events remain available to {!collect}. *)
@@ -84,15 +81,11 @@ val enabled : unit -> bool
     ring recording is on {e or} a span observer is installed — either
     consumer needs the call sites to take their instrumented paths. *)
 
-val recording : unit -> bool
-(** Ring recording specifically (what {!enable}/{!disable} toggle),
-    independent of any installed span observer. *)
-
-val set_observer : (phase -> string -> float -> unit) option -> unit
+val set_observer : (phase -> string -> int -> unit) option -> unit
 (** Install (or remove, with [None]) the span-close observer: called as
-    [f phase name dur_us] every time a span completes — {!complete} or
-    the end of {!with_span} — whether or not ring recording is on.
-    Installing one flips {!enabled} so guarded call sites reach the
+    [f phase name dur_ns] every time a span completes ({!complete}),
+    whether or not ring recording is on. Installing one flips
+    {!enabled} so guarded call sites reach the
     span close; instants and counters stay ring-only and still allocate
     nothing. One slot, last writer wins: this is the metrics layer's
     histogram feed, not a general subscription surface. *)
@@ -101,23 +94,20 @@ val sample_mask : unit -> int
 (** [sample_every - 1] (a power-of-two mask); hot loops test
     [steps land sample_mask () = 0] before even reading {!enabled}. *)
 
-val now_us : unit -> float
-(** Microseconds since the {!enable} epoch. *)
-
 val now_ns : unit -> int
-(** Integer nanoseconds since process start — immediate (no boxing),
-    always available, for latency fields that exist without tracing. *)
+(** Integer nanoseconds from the monotonic clock (arbitrary origin,
+    never steps backwards) — immediate, allocation-free, always
+    available, so latency fields that exist without tracing read the
+    same clock as the spans. *)
 
 val instant : phase -> string -> arg list -> unit
 val counter : phase -> string -> int -> unit
 
-val complete : phase -> string -> t0_us:float -> arg list -> unit
-(** Record a span that started at [t0_us] and ends now. *)
-
-val with_span : phase -> ?args:(unit -> arg list) -> string -> (unit -> 'a) -> 'a
-(** [with_span phase name f] runs [f] inside a span; [args] is only
-    evaluated (at span end) when tracing is on. The span is recorded
-    even when [f] raises. *)
+val complete : phase -> string -> t0_ns:int -> ?t1_ns:int -> arg list -> unit
+(** Record a span from [t0_ns] to [t1_ns] (default: a {!now_ns} read
+    here). The one duration feeds both the ring and the observer; a
+    caller that already read the end time for its own use passes it as
+    [t1_ns], so the span and that caller agree to the nanosecond. *)
 
 val collect : unit -> event list
 (** Every buffered event from every domain that recorded any, in

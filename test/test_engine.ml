@@ -1,8 +1,8 @@
 (* The batch recovery engine: parallel fan-out is byte-identical to
    sequential, the content-addressed cache answers duplicates without
    re-analysis, budget exhaustion surfaces as a structured outcome
-   rather than a silently-empty list, and per-domain stats merge
-   deterministically. *)
+   rather than a silently-empty list, and counters stay exact when
+   domains update them concurrently. *)
 
 open Abi.Abity
 
@@ -20,17 +20,28 @@ let corpus_codes ?(seed = 11) n =
 let engine ?(jobs = 1) () =
   Sigrec.Engine.make Sigrec.Engine.Config.(default |> with_jobs jobs)
 
+(* Stats JSON with the interner counters blanked: which domain's
+   interner was warm decides how an analysis splits into hits and
+   misses, nothing else does. *)
+let stats_json engine =
+  Sigrec.Stats.to_json (Sigrec.Engine.stats engine)
+  |> String.split_on_char ','
+  |> List.map (fun kv ->
+         if String.starts_with ~prefix:"\"intern_" kv then
+           List.hd (String.split_on_char ':' kv)
+         else kv)
+  |> String.concat ","
+
 let test_parallel_matches_sequential () =
   let codes = corpus_codes 12 in
-  let seq =
-    Sigrec.Engine.recover_all (engine ~jobs:1 ()) codes
-  in
-  let par =
-    Sigrec.Engine.recover_all (engine ~jobs:4 ()) codes
-  in
+  let seq_engine = engine ~jobs:1 () and par_engine = engine ~jobs:4 () in
+  let seq = Sigrec.Engine.recover_all seq_engine codes in
+  let par = Sigrec.Engine.recover_all par_engine codes in
   Alcotest.(check int) "one report per input" (List.length codes)
     (List.length par);
   Alcotest.(check string) "byte-identical output" (render seq) (render par);
+  Alcotest.(check string) "identical counters" (stats_json seq_engine)
+    (stats_json par_engine);
   let recovered reports =
     List.concat_map Sigrec.Engine.signatures reports |> List.length
   in
@@ -165,35 +176,24 @@ let test_no_functions_is_empty_not_failed () =
   Alcotest.(check int) "no outcomes" 0
     (List.length report.Sigrec.Engine.outcomes)
 
-let test_stats_merge () =
-  let a = Sigrec.Stats.create () in
-  Sigrec.Stats.hit_rule a "R1";
-  Sigrec.Stats.hit_rule a "R1";
-  Sigrec.Stats.hit_rule a "R4";
-  Sigrec.Stats.cache_miss a;
-  Sigrec.Stats.add_paths a 7;
-  let b = Sigrec.Stats.create () in
-  Sigrec.Stats.hit_rule b "R1";
-  Sigrec.Stats.hit_rule b "R17";
-  Sigrec.Stats.add_cache_hits b 1;
-  Sigrec.Stats.add_paths b 3;
-  Sigrec.Stats.add_functions b 2;
-  let ab = Sigrec.Stats.merge a b and ba = Sigrec.Stats.merge b a in
-  Alcotest.(check int) "R1 summed" 3 (Sigrec.Stats.rule_count ab "R1");
-  Alcotest.(check int) "R4 kept" 1 (Sigrec.Stats.rule_count ab "R4");
-  Alcotest.(check int) "paths summed" 10 (Sigrec.Stats.paths_explored ab);
-  Alcotest.(check int) "hits summed" 1 (Sigrec.Stats.cache_hits ab);
-  Alcotest.(check int) "misses summed" 1 (Sigrec.Stats.cache_misses ab);
-  Alcotest.(check int) "functions summed" 2
-    (Sigrec.Stats.functions_recovered ab);
-  List.iter2
-    (fun (n1, c1) (n2, c2) ->
-      Alcotest.(check string) "same rule order" n1 n2;
-      Alcotest.(check int) ("commutative " ^ n1) c1 c2)
-    (Sigrec.Stats.rule_counts ab)
-    (Sigrec.Stats.rule_counts ba);
-  (* neither input was modified *)
-  Alcotest.(check int) "a untouched" 2 (Sigrec.Stats.rule_count a "R1")
+(* One Stats.t shared by several domains: every update is atomic, so
+   the totals are exact however the increments interleave. *)
+let test_concurrent_counters () =
+  let s = Sigrec.Stats.create () in
+  let domains = 4 and per_domain = 50_000 in
+  List.iter Domain.join
+    (List.init domains (fun _ ->
+         Domain.spawn (fun () ->
+             for _ = 1 to per_domain do
+               Sigrec.Stats.hit_rule s "R4";
+               Sigrec.Stats.add_paths s 1
+             done)));
+  Alcotest.(check int) "R4 exact" (domains * per_domain)
+    (Sigrec.Stats.rule_count s "R4");
+  Alcotest.(check int) "paths exact" (domains * per_domain)
+    (Sigrec.Stats.paths_explored s);
+  Alcotest.(check int) "other rules untouched" 0
+    (Sigrec.Stats.rule_count s "R1")
 
 let test_stats_scalar_sync () =
   (* both rendered surfaces must carry exactly the descriptor list's
@@ -219,14 +219,6 @@ let test_stats_scalar_sync () =
   Alcotest.(check int) "slots summed" 5 (List.assoc "layout_slots" counters);
   Alcotest.(check int) "unknown ops summed" 1
     (List.assoc "layout_unknown_ops" counters);
-  (* merge sums every descriptor counter pointwise *)
-  let m = Sigrec.Stats.merge s s in
-  List.iter2
-    (fun (k1, v1) (k2, v2) ->
-      Alcotest.(check string) "same descriptor order" k1 k2;
-      Alcotest.(check int) ("merge doubled " ^ k1) (2 * v1) v2)
-    counters
-    (Sigrec.Stats.scalar_counters m);
   (* the human rendering draws from the same values *)
   let text = Format.asprintf "%a" Sigrec.Stats.pp s in
   let contains sub =
@@ -319,8 +311,7 @@ let test_stream_dedup_counted () =
 
 let test_stream_counters_in_descriptor_list () =
   (* the three stream counters flow through the shared descriptor list:
-     present in scalar_counters and the JSON with the recorded values,
-     summed by merge *)
+     present in scalar_counters and the JSON with the recorded values *)
   let s = Sigrec.Stats.create () in
   Sigrec.Stats.add_stream_lines s ~lines:120 ~skipped:3;
   Sigrec.Stats.add_stream_dedup s 70;
@@ -340,10 +331,7 @@ let test_stream_counters_in_descriptor_list () =
       Alcotest.(check (option int)) ("json carries " ^ key)
         (Some (List.assoc key counters))
         (Option.bind (Sigrec.Json.member key json) Sigrec.Json.to_int_opt))
-    [ "stream_lines"; "stream_skipped"; "stream_dedup_hits" ];
-  let m = Sigrec.Stats.merge s s in
-  Alcotest.(check int) "merge sums stream_lines" 240
-    (List.assoc "stream_lines" (Sigrec.Stats.scalar_counters m))
+    [ "stream_lines"; "stream_skipped"; "stream_dedup_hits" ]
 
 (* -- the layout product ------------------------------------------------- *)
 
@@ -508,7 +496,8 @@ let suite =
       test_budget_exhaustion_surfaces;
     Alcotest.test_case "no functions /= failure" `Quick
       test_no_functions_is_empty_not_failed;
-    Alcotest.test_case "stats merge" `Quick test_stats_merge;
+    Alcotest.test_case "concurrent counters exact" `Quick
+      test_concurrent_counters;
     Alcotest.test_case "stats scalar descriptor sync" `Quick
       test_stats_scalar_sync;
     Alcotest.test_case "engine = Recover.recover" `Quick

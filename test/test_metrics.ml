@@ -9,10 +9,12 @@
    - The quantile estimate is the upper bound of the bucket holding the
      exact sample quantile — within one bucket by construction.
    - A fresh registry renders a hand-checked exposition golden, which
-     also parses back line by line (families typed once, cumulative
-     buckets, `# EOF` terminator).
-   - The serve endpoint reports the hardware-clamped worker count and,
-     in OpenMetrics form, the engine collector's families. *)
+     also parses back line by line (families typed once, a labelled
+     family's samples together even when its members were created
+     apart, cumulative buckets, `# EOF` terminator).
+   - The serve metrics op answers the exposition of the process-wide
+     and the engine's registries: the hardware-clamped worker count,
+     the LRU figures and the engine's counter families. *)
 
 module Mx = Sigrec_metrics.Metrics
 
@@ -153,6 +155,9 @@ let exposition_golden =
       "# HELP t_requests handled requests";
       "# TYPE t_requests counter";
       "t_requests_total 3";
+      "# TYPE t_fired counter";
+      "t_fired_total{rule=\"R1\"} 1";
+      "t_fired_total{rule=\"R2\"} 0";
       "# TYPE t_temp gauge";
       "t_temp{k=\"v\"} 1.5";
       "# TYPE t_sizes histogram";
@@ -170,39 +175,30 @@ let test_exposition_golden () =
   let c = Mx.counter ~registry:reg ~help:"handled requests" "t_requests" in
   Mx.inc c;
   Mx.add c 2;
+  let fired rule =
+    Mx.counter ~registry:reg ~labels:[ ("rule", rule) ] "t_fired"
+  in
+  Mx.inc (fired "R1");
   Mx.set_gauge (Mx.gauge ~registry:reg ~labels:[ ("k", "v") ] "t_temp") 1.5;
+  (* created after another family: still rendered with its family *)
+  ignore (fired "R2" : Mx.counter);
   let h =
     Mx.histogram ~registry:reg ~buckets:[| 10; 100 |] ~scale:1.0 "t_sizes"
   in
   List.iter (Mx.observe h) [ 5; 50; 500 ];
   Alcotest.(check string) "exposition byte-stable" exposition_golden
-    (Mx.expose ~registry:reg ());
+    (Mx.expose [ reg ]);
   (* parse it back: every family typed exactly once, buckets cumulative *)
-  let lines = String.split_on_char '\n' (Mx.expose ~registry:reg ()) in
+  let lines = String.split_on_char '\n' (Mx.expose [ reg ]) in
   let type_lines =
     List.filter (fun l -> String.length l > 7 && String.sub l 0 7 = "# TYPE ")
       lines
   in
-  Alcotest.(check int) "three families typed" 3 (List.length type_lines);
-  Alcotest.(check int) "families typed once" 3
+  Alcotest.(check int) "four families typed" 4 (List.length type_lines);
+  Alcotest.(check int) "families typed once" 4
     (List.length (List.sort_uniq compare type_lines));
   Alcotest.(check string) "terminator" "# EOF"
     (List.nth lines (List.length lines - 2))
-
-let test_collector_replacement () =
-  let reg = Mx.create_registry () in
-  Mx.register_collector ~registry:reg ~name:"x" (fun () ->
-      "# TYPE x_old gauge\nx_old 1\n");
-  Mx.register_collector ~registry:reg ~name:"x" (fun () ->
-      "# TYPE x_new gauge\nx_new 2\n");
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let text = Mx.expose ~registry:reg () in
-  Alcotest.(check bool) "replacement rendered" true (contains "x_new 2" text);
-  Alcotest.(check bool) "replaced chunk gone" false (contains "x_old" text)
 
 (* -- top-K ring -------------------------------------------------------- *)
 
@@ -240,17 +236,29 @@ let contains needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+let exposition reply =
+  match Sigrec.Json.member "exposition" reply with
+  | Some (Sigrec.Json.Str s) -> s
+  | _ -> Alcotest.fail "no exposition string in reply"
+
 let test_serve_workers_field () =
   let t = Sigrec.Serve.create Sigrec.Engine.Config.default in
-  let metrics = parse_exn (handle t {|{"id":1,"op":"metrics"}|}) in
-  let int_field k =
-    Option.bind (Sigrec.Json.member k metrics) Sigrec.Json.to_int_opt
+  let lines =
+    String.split_on_char '\n'
+      (exposition (parse_exn (handle t {|{"id":1,"op":"metrics"}|})))
   in
-  Alcotest.(check (option int)) "workers = effective, hardware-clamped jobs"
-    (Some (Sigrec.Engine.effective_jobs (Sigrec.Serve.engine t)))
-    (int_field "workers");
-  Alcotest.(check (option int)) "unbounded cache capacity reported" (Some 0)
-    (int_field "cache_capacity")
+  let has what line = Alcotest.(check bool) what true (List.mem line lines) in
+  has "workers = effective, hardware-clamped jobs"
+    (Printf.sprintf "sigrec_engine_workers %d"
+       (Sigrec.Engine.effective_jobs (Sigrec.Serve.engine t)));
+  has "unbounded cache capacity reported"
+    "sigrec_lru_capacity{cache=\"reports\"} 0";
+  (* "format" may be omitted or "openmetrics"; anything else is refused *)
+  let refused =
+    parse_exn (handle t {|{"id":2,"op":"metrics","format":"json"}|})
+  in
+  Alcotest.(check bool) "unknown format refused" true
+    (Sigrec.Json.member "ok" refused = Some (Sigrec.Json.Bool false))
 
 let test_serve_openmetrics () =
   let t = Sigrec.Serve.create Sigrec.Engine.Config.default in
@@ -269,11 +277,7 @@ let test_serve_openmetrics () =
       let reply =
         parse_exn (handle t {|{"id":2,"op":"metrics","format":"openmetrics"}|})
       in
-      let exposition =
-        match Sigrec.Json.member "exposition" reply with
-        | Some (Sigrec.Json.Str s) -> s
-        | _ -> Alcotest.fail "no exposition string in reply"
-      in
+      let exposition = exposition reply in
       List.iter
         (fun family ->
           Alcotest.(check bool)
@@ -288,6 +292,9 @@ let test_serve_openmetrics () =
           "sigrec_pool_workers";
           "sigrec_serve_requests_total";
           "sigrec_cache_misses_total";
+          "sigrec_cache_hits_total";
+          "sigrec_rule_fired_total{rule=";
+          "sigrec_engine_workers";
           "# EOF";
         ];
       (* the top ring saw the analysis the recover request ran *)
@@ -308,8 +315,6 @@ let suite =
     Alcotest.test_case "quantile within one bucket" `Quick
       test_quantile_within_one_bucket;
     Alcotest.test_case "exposition golden" `Quick test_exposition_golden;
-    Alcotest.test_case "collector replacement" `Quick
-      test_collector_replacement;
     Alcotest.test_case "top-K ring" `Quick test_top_ring;
     Alcotest.test_case "serve workers field" `Quick test_serve_workers_field;
     Alcotest.test_case "serve openmetrics exposition" `Quick

@@ -79,6 +79,15 @@ let parse_exn line =
   | Ok v -> v
   | Error e -> Alcotest.failf "unparseable response: %s" e
 
+(* The metrics op's exposition, one sample per line. *)
+let exposition_lines t =
+  match
+    Sigrec.Json.member "exposition"
+      (parse_exn (handle t {|{"id":2,"op":"metrics"}|}))
+  with
+  | Some (Sigrec.Json.Str s) -> String.split_on_char '\n' s
+  | _ -> Alcotest.fail "metrics reply without an exposition"
+
 let test_recover_warnings_in_stream () =
   let t = default_serve () in
   let code = compile (Abi.Funsig.make "w" [ Uint 256 ]) in
@@ -130,15 +139,11 @@ let test_cross_request_cache_hits () =
   Alcotest.(check int) "each bytecode analyzed once" (List.length codes)
     (Sigrec.Stats.cache_misses stats);
   (* metrics reflect the same counters, live *)
-  let metrics = parse_exn (handle t {|{"id":2,"op":"metrics"}|}) in
-  let stats_json = member_exn "stats" metrics in
-  Alcotest.(check (option int)) "metrics cache_hits" (Some 2)
-    (Option.bind
-       (Sigrec.Json.member "cache_hits" stats_json)
-       Sigrec.Json.to_int_opt);
-  Alcotest.(check (option int)) "metrics request count" (Some 3)
-    (Option.bind (Sigrec.Json.member "requests" metrics)
-       Sigrec.Json.to_int_opt)
+  let metrics = exposition_lines t in
+  Alcotest.(check bool) "metrics cache_hits" true
+    (List.mem "sigrec_cache_hits_total 2" metrics);
+  Alcotest.(check bool) "metrics request count" true
+    (List.mem "sigrec_serve_requests_total 3" metrics)
 
 (* elapsed_ns is a wall-clock measurement, deliberately excluded from
    the determinism invariant (as it is from pp_report); everything else
@@ -264,18 +269,14 @@ let test_classify_op () =
   Alcotest.(check bool) "repeat answered from verdict cache" true
     (warm_cached = Sigrec.Json.Bool true);
   (* the metrics op reports the classification counters, live *)
-  let metrics = parse_exn (handle t {|{"id":2,"op":"metrics"}|}) in
-  let stats_json = member_exn "stats" metrics in
-  let counter name =
-    Option.bind (Sigrec.Json.member name stats_json) Sigrec.Json.to_int_opt
+  let metrics = exposition_lines t in
+  let counter what sample =
+    Alcotest.(check bool) what true (List.mem sample metrics)
   in
-  Alcotest.(check (option int)) "one fresh classification" (Some 1)
-    (counter "classifications");
-  Alcotest.(check (option int)) "one exact verdict" (Some 1)
-    (counter "classify_exact");
-  Alcotest.(check (option int)) "repeat served from the verdict cache"
-    (Some 1)
-    (counter "classify_cache_hits");
+  counter "one fresh classification" "sigrec_classifications_total 1";
+  counter "one exact verdict" "sigrec_classify_exact_total 1";
+  counter "repeat served from the verdict cache"
+    "sigrec_classify_cache_hits_total 1";
   (* malformed classify requests are rejected without killing the daemon *)
   List.iter
     (fun line ->
@@ -447,7 +448,9 @@ let test_engine_cache_bounded () =
   Alcotest.(check int) "all inputs answered despite evictions"
     (List.length codes) (List.length reports);
   Alcotest.(check bool) "cache stayed within capacity" true
-    (Sigrec.Engine.cache_size engine <= 2);
+    (List.for_all
+       (fun (_, len, _, _) -> len <= 2)
+       (Sigrec.Engine.cache_stats engine));
   Alcotest.(check int) "evictions surfaced in stats" 2
     (Sigrec.Stats.cache_evictions (Sigrec.Engine.stats engine))
 

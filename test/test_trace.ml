@@ -4,13 +4,16 @@
      byte-identical with tracing on vs off (the drift invariant that
      lets the instrumentation live in hot paths permanently).
    - The Chrome exporter emits the trace_event shapes Perfetto loads;
-     the JSONL exporter round-trips losslessly through its own parser.
+     the JSONL exporter keeps a stable key order.
+   - One clock: a span's ring duration and its metrics observation are
+     the same integer.
    - Ring wrap-around drops the oldest events and counts them.
    - Rule evidence is collected even with tracing off, so `sigrec
      explain` works without a trace file. *)
 
 module Tr = Sigrec_trace.Trace
 module Ex = Sigrec_trace.Export
+module Mx = Sigrec_metrics.Metrics
 
 let compile sigs = Solc.Compile.compile (Solc.Compile.contract_of_sigs sigs)
 
@@ -65,8 +68,8 @@ let emit_sample () =
   Tr.instant Tr.Rules "R16"
     [ ("pc", Tr.Int 0x66); ("fired", Tr.Bool true); ("note", Tr.Str "mask") ];
   Tr.counter Tr.Symex "steps" 4096;
-  let t0 = Tr.now_us () in
-  Tr.complete Tr.Engine "input" ~t0_us:t0
+  let t0 = Tr.now_ns () in
+  Tr.complete Tr.Engine "input" ~t0_ns:t0
     [ ("functions", Tr.Int 2); ("ratio", Tr.Float 0.5) ];
   let evs = Tr.collect () in
   Tr.disable ();
@@ -74,7 +77,8 @@ let emit_sample () =
   evs
 
 let chrome_shape () =
-  let doc = Ex.to_chrome (emit_sample ()) in
+  let events = emit_sample () in
+  let doc = Ex.to_chrome events in
   let contains needle =
     let n = String.length needle and h = String.length doc in
     let rec go i = i + n <= h && (String.sub doc i n = needle || go (i + 1)) in
@@ -93,31 +97,95 @@ let chrome_shape () =
   contains "\"pid\":1";
   contains "\"s\":\"t\"";
   contains "\"name\":\"R16\"";
-  contains "\"pc\":102"
-
-let jsonl_round_trip () =
-  let evs = emit_sample () in
-  let back = Ex.of_jsonl (Ex.to_jsonl evs) in
-  Alcotest.(check int) "event count" (List.length evs) (List.length back);
+  contains "\"pc\":102";
+  (* the span's microseconds are its nanoseconds, rendered exactly *)
+  let span = List.find (fun (e : Tr.event) -> e.kind = Tr.Complete) events in
+  contains
+    (Printf.sprintf "\"ts\":%d.%03d,\"ph\":\"X\",\"dur\":%d.%03d"
+       (span.ts_ns / 1000) (span.ts_ns mod 1000) (span.dur_ns / 1000)
+       (span.dur_ns mod 1000));
+  (* JSONL: one object per event, keys in a stable order, integer ns *)
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Ex.to_jsonl events))
+  in
+  Alcotest.(check int) "one JSONL line per event" (List.length events)
+    (List.length lines);
   List.iter2
-    (fun (a : Tr.event) (b : Tr.event) ->
-      Alcotest.(check string) "phase" (Tr.phase_name a.phase)
-        (Tr.phase_name b.phase);
-      Alcotest.(check string) "name" a.name b.name;
-      Alcotest.(check bool) "kind" true (a.kind = b.kind);
-      Alcotest.(check int) "domain" a.dom b.dom;
-      Alcotest.(check (float 0.0)) "ts exact" a.ts_us b.ts_us;
-      Alcotest.(check (float 0.0)) "dur exact" a.dur_us b.dur_us;
-      Alcotest.(check bool) "args" true (a.args = b.args))
-    evs back
+    (fun (e : Tr.event) line ->
+      let prefix =
+        Printf.sprintf
+          "{\"ts_ns\":%d,\"dur_ns\":%d,\"domain\":%d,\"phase\":" e.ts_ns
+          e.dur_ns e.dom
+      in
+      let n = Stdlib.min (String.length line) (String.length prefix) in
+      Alcotest.(check string) "JSONL key order" prefix (String.sub line 0 n);
+      List.iter
+        (fun key ->
+          let n = String.length key in
+          let rec go i =
+            i + n <= String.length line
+            && (String.sub line i n = key || go (i + 1))
+          in
+          if not (go 0) then Alcotest.failf "JSONL line lacks %s: %s" key line)
+        [ ",\"name\":"; ",\"kind\":"; ",\"args\":{" ])
+    events lines
 
-let jsonl_rejects_garbage () =
+(* One clock: with tracing and metrics both on, every span's ring
+   duration and its histogram observation come from one reading, so per
+   (phase, span name) the ring's dur_ns total is the histogram's sum to
+   the nanosecond. *)
+let one_clock () =
+  let codes =
+    List.map (fun s -> s.Solc.Corpus.code) (Solc.Corpus.dataset3 ~seed:31 ~n:4)
+  in
+  Mx.enable ();
+  Mx.reset ();
+  Tr.enable ();
+  ignore
+    (Sigrec.Engine.classify_all
+       (Sigrec.Engine.make Sigrec.Engine.Config.(default |> with_jobs 2))
+       codes);
+  Tr.disable ();
+  Mx.disable ();
+  let events = Tr.collect () in
+  let dropped = Tr.dropped () in
+  Tr.reset ();
+  Alcotest.(check int) "ring kept every event" 0 dropped;
+  let ring = Hashtbl.create 16 in
   List.iter
-    (fun bad ->
-      match Ex.of_jsonl bad with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.failf "of_jsonl accepted %S" bad)
-    [ "not json\n"; "{\"ts_us\":}\n"; "{\"ts_us\":1.0\n" ]
+    (fun (e : Tr.event) ->
+      if e.kind = Tr.Complete then begin
+        let k = [ ("phase", Tr.phase_name e.phase); ("span", e.name) ] in
+        let n, sum = Option.value ~default:(0, 0) (Hashtbl.find_opt ring k) in
+        Hashtbl.replace ring k (n + 1, sum + e.dur_ns)
+      end)
+    events;
+  let hists =
+    List.filter_map
+      (fun (name, labels, _, (snap : Mx.hist_snapshot)) ->
+        if name = "sigrec_phase_duration_seconds" && snap.count > 0 then
+          Some (labels, (snap.count, snap.sum))
+        else None)
+      (Mx.histograms ())
+  in
+  Mx.reset ();
+  Alcotest.(check bool) "engine, lift, symex and rules spans seen" true
+    (List.for_all
+       (fun phase ->
+         List.exists (fun (l, _) -> List.assoc "phase" l = phase) hists)
+       [ "engine"; "lift"; "symex"; "rules" ]);
+  Alcotest.(check int) "one histogram per (phase, span name)"
+    (Hashtbl.length ring) (List.length hists);
+  List.iter
+    (fun (labels, (count, sum)) ->
+      let what = String.concat "/" (List.map snd labels) in
+      match Hashtbl.find_opt ring labels with
+      | Some (n, ring_sum) ->
+        Alcotest.(check int) (what ^ ": span count") n count;
+        Alcotest.(check int) (what ^ ": ring dur_ns total = histogram sum")
+          ring_sum sum
+      | None -> Alcotest.failf "%s observed but never recorded" what)
+    hists
 
 let ring_wraps_and_counts_drops () =
   Tr.enable ~config:{ Tr.capacity = 16; sample_every = 1 } ();
@@ -255,8 +323,7 @@ let suite =
       `Quick,
       disabled_path_allocates_nothing );
     ("chrome export has trace_event shape", `Quick, chrome_shape);
-    ("jsonl round-trips losslessly", `Quick, jsonl_round_trip);
-    ("jsonl parser rejects garbage", `Quick, jsonl_rejects_garbage);
+    ("one clock: ring durations = histogram sums", `Quick, one_clock);
     ("ring wraps, drops counted", `Quick, ring_wraps_and_counts_drops);
     ("summary aggregates rules and spans", `Quick, summary_mentions_rules);
     ("evidence recorded with tracing off", `Quick, evidence_without_tracing);
