@@ -29,19 +29,19 @@ let rec equal a b =
   | _ -> false
 
 let rec to_string = function
-  | Uint m -> Printf.sprintf "uint%d" m
-  | Int m -> Printf.sprintf "int%d" m
+  | Uint m -> "uint" ^ string_of_int m
+  | Int m -> "int" ^ string_of_int m
   | Address -> "address"
   | Bool -> "bool"
-  | Bytes_n m -> Printf.sprintf "bytes%d" m
+  | Bytes_n m -> "bytes" ^ string_of_int m
   | Bytes -> "bytes"
   | String_t -> "string"
-  | Sarray (t, n) -> Printf.sprintf "%s[%d]" (to_string t) n
-  | Darray t -> Printf.sprintf "%s[]" (to_string t)
+  | Sarray (t, n) -> to_string t ^ "[" ^ string_of_int n ^ "]"
+  | Darray t -> to_string t ^ "[]"
   | Tuple ts -> "(" ^ String.concat "," (List.map to_string ts) ^ ")"
   | Decimal -> "decimal"
-  | Vbytes n -> Printf.sprintf "bytes[%d]" n
-  | Vstring n -> Printf.sprintf "string[%d]" n
+  | Vbytes n -> "bytes[" ^ string_of_int n ^ "]"
+  | Vstring n -> "string[" ^ string_of_int n ^ "]"
 
 let compare a b = Stdlib.compare (to_string a) (to_string b)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

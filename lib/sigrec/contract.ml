@@ -13,7 +13,7 @@ type t = {
 
 let hash_of_code code = Evm.Keccak.digest code
 
-let make code =
+let make ?hash code =
   let module Tr = Sigrec_trace.Trace in
   let t0_ns = if Tr.enabled () then Tr.now_ns () else 0 in
   let program = Symex.Exec.prepare code in
@@ -27,7 +27,7 @@ let make code =
   let t =
     {
       code;
-      code_hash = hash_of_code code;
+      code_hash = (match hash with Some h -> h | None -> hash_of_code code);
       program;
       cfg;
       deps = Evm.Cfg.control_deps cfg;

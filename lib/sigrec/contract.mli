@@ -30,8 +30,10 @@ type t = {
       (** per-entry depth-1 absint runs, memoized by {!absint_for} *)
 }
 
-val make : string -> t
-(** [make code] builds the context from raw runtime bytecode. *)
+val make : ?hash:string -> string -> t
+(** [make code] builds the context from raw runtime bytecode. [hash],
+    when the caller already holds it, must be [hash_of_code code]; it
+    saves hashing the bytecode a second time. *)
 
 val of_hex : string -> t
 (** Decode a hex string (optional ["0x"] prefix) first. *)

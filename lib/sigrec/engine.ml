@@ -130,7 +130,7 @@ let pp_report fmt report =
    list. *)
 let analyze_uncounted ~cfg ~stats ~hash code =
   let lift0 = Tr.now_ns () in
-  match Contract.make code with
+  match Contract.make ~hash code with
   | exception e ->
     {
       code_hash = Evm.Hex.encode hash;

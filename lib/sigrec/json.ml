@@ -13,29 +13,84 @@ type t =
 
 (* ---- printing ------------------------------------------------------- *)
 
+(* Most strings a report carries (keys, hex, type names) need no
+   escaping: those come back as they are, without a copy. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) s)
+  then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
-let quote s = Printf.sprintf "\"%s\"" (escape s)
-let arr items = Printf.sprintf "[%s]" (String.concat "," items)
+(* The printers below size their result first and fill it in place: one
+   allocation per rendered value, however many parts it joins. *)
 
+let quote s =
+  let e = escape s in
+  let n = String.length e in
+  let b = Bytes.make (n + 2) '"' in
+  Bytes.blit_string e 0 b 1 n;
+  Bytes.unsafe_to_string b
+
+(* [n] comma-separated parts of total length [len] between [opening]
+   and [closing]: the brackets and commas are in place, the first part
+   goes at offset 1 and each next one a byte after the previous. *)
+let frame opening closing ~n ~len =
+  let b = Bytes.make (Int.max 2 (len + n + 1)) ',' in
+  Bytes.set b 0 opening;
+  Bytes.set b (Bytes.length b - 1) closing;
+  b
+
+let arr items =
+  let len = List.fold_left (fun n s -> n + String.length s) 0 items in
+  let b = frame '[' ']' ~n:(List.length items) ~len in
+  ignore
+    (List.fold_left
+       (fun pos s ->
+         Bytes.blit_string s 0 b pos (String.length s);
+         pos + String.length s + 1)
+       1 items
+      : int);
+  Bytes.unsafe_to_string b
+
+(* A field is ["key":value]: the escaped key, three punctuation bytes
+   and the value. *)
 let obj fields =
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (quote k) v) fields))
+  let len =
+    List.fold_left
+      (fun n (k, v) -> n + String.length (escape k) + String.length v + 3)
+      0 fields
+  in
+  let b = frame '{' '}' ~n:(List.length fields) ~len in
+  ignore
+    (List.fold_left
+       (fun pos (k, v) ->
+         let k = escape k in
+         let kl = String.length k and vl = String.length v in
+         Bytes.set b pos '"';
+         Bytes.blit_string k 0 b (pos + 1) kl;
+         Bytes.set b (pos + kl + 1) '"';
+         Bytes.set b (pos + kl + 2) ':';
+         Bytes.blit_string v 0 b (pos + kl + 3) vl;
+         pos + kl + vl + 4)
+       1 fields
+      : int);
+  Bytes.unsafe_to_string b
 
 let number f =
   if Float.is_integer f && Float.abs f < 1e15 then

@@ -22,6 +22,7 @@ let () =
       ("tools", Test_tools.suite);
       ("input", Test_input.suite);
       ("serve", Test_serve.suite);
+      ("json", Test_json.suite);
       ("pool", Test_pool.suite);
       ("trace", Test_trace.suite);
       ("metrics", Test_metrics.suite);
