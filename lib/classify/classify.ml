@@ -464,13 +464,15 @@ let probe_dispatch ~code =
      same way — so one probe closure computes it once and every further
      probe of the same contract pays a single execution. *)
   let fallback = ref None in
+  (* decoded on the first probe, shared by every execution after it *)
+  let program = lazy (Evm.Interp.prepare code) in
   fun fsig ->
     let calldata = probe_calldata fsig in
     (* the halt fingerprint — outcome plus step count — separates "fell
        through to the fallback" from "dispatched into a body" exactly as
        well as a full pc trace, without recording one *)
     let trace calldata =
-      let r = Evm.Interp.execute ~code ~calldata () in
+      let r = Evm.Interp.run (Lazy.force program) ~calldata () in
       (r.Evm.Interp.outcome, r.Evm.Interp.steps)
     in
     let fb =

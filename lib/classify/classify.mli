@@ -137,8 +137,8 @@ val probe_dispatch : code:string -> Abi.Funsig.t -> bool
     dispatched when the junk runs agree with each other (the fallback
     is stable) and the member's run diverges from it.
     Deterministic: argument values come from a fixed-seed generator.
-    [probe_dispatch ~code] computes the fallback trace once and shares
-    it across every probe of the same closure, so partially apply it
-    per contract. *)
+    [probe_dispatch ~code] decodes [code] and computes the fallback
+    trace once each and shares them across every probe of the same
+    closure, so partially apply it per contract. *)
 
 val pp : Format.formatter -> verdict -> unit

@@ -47,13 +47,19 @@ let disassemble code =
   in
   go 0 []
 
+let op_table code instrs =
+  let ops = Array.make (String.length code) None in
+  List.iter (fun { offset; op } -> ops.(offset) <- Some op) instrs;
+  ops
+
+let op_at ops pc =
+  if pc >= 0 && pc < Array.length ops then Array.unsafe_get ops pc else None
+
+let is_jumpdest ops pc =
+  match op_at ops pc with Some Opcode.JUMPDEST -> true | _ -> false
+
 let pp_listing fmt instrs =
   List.iter
     (fun { offset; op } ->
       Format.fprintf fmt "%06x: %s@." offset (Opcode.mnemonic op))
-    instrs
-
-let instruction_at instrs offset =
-  List.find_map
-    (fun i -> if i.offset = offset then Some i.op else None)
     instrs

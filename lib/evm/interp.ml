@@ -81,23 +81,19 @@ let gas_cost op =
 
 let bool_word b = if b then U256.one else U256.zero
 
-let execute ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
-    ?(record_trace = false) ~code ~calldata () =
+type program = { code : string; ops : Opcode.t option array }
+
+let prepare code =
+  { code; ops = Disasm.op_table code (Disasm.disassemble code) }
+
+let run ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
+    ?(record_trace = false) { code; ops } ~calldata () =
   let storage =
     match storage with Some s -> s | None -> Machine.Storage.create ()
   in
   let stack = Machine.Stack.create () in
   let memory = Machine.Memory.create () in
   let cd = Machine.Calldata.of_string calldata in
-  let instrs = Disasm.disassemble code in
-  let by_offset = Hashtbl.create (List.length instrs) in
-  List.iter (fun i -> Hashtbl.replace by_offset i.Disasm.offset i.Disasm.op) instrs;
-  let jumpdests = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      if i.Disasm.op = Opcode.JUMPDEST then
-        Hashtbl.replace jumpdests i.Disasm.offset ())
-    instrs;
   let gas = ref gas_limit in
   let steps = ref 0 in
   let trace = ref [] in
@@ -129,7 +125,7 @@ let execute ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
   let push v = Machine.Stack.push stack v in
   let sha3_mem off len = Keccak.digest (Machine.Memory.load_bytes memory off len) in
   let rec step pc =
-    match Hashtbl.find_opt by_offset pc with
+    match Disasm.op_at ops pc with
     | None -> finish Stopped (* ran off the end of code *)
     | Some op ->
       incr steps;
@@ -333,7 +329,7 @@ let execute ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
         | Opcode.JUMP -> (
           let t = pop () in
           match U256.to_int t with
-          | Some t when Hashtbl.mem jumpdests t -> step t
+          | Some t when Disasm.is_jumpdest ops t -> step t
           | Some t -> finish (Bad_jump t)
           | None -> finish (Bad_jump (-1)))
         | Opcode.JUMPI -> (
@@ -342,7 +338,7 @@ let execute ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
           if U256.is_zero c then step next
           else
             match U256.to_int t with
-            | Some t when Hashtbl.mem jumpdests t -> step t
+            | Some t when Disasm.is_jumpdest ops t -> step t
             | Some t -> finish (Bad_jump t)
             | None -> finish (Bad_jump (-1)))
         | Opcode.PC -> push (U256.of_int pc); step next
@@ -390,3 +386,6 @@ let execute ?(env = default_env) ?storage ?(gas_limit = 10_000_000)
   in
   try step 0 with
   | Machine.Stack.Underflow | Machine.Stack.Overflow -> finish Stack_error
+
+let execute ?env ?storage ?gas_limit ?record_trace ~code ~calldata () =
+  run ?env ?storage ?gas_limit ?record_trace (prepare code) ~calldata ()

@@ -35,6 +35,27 @@ type result = {
   trace_pcs : int list;        (** executed program counters, in order *)
 }
 
+type program
+(** Decoded code ready for repeated runs: a pc-indexed op table built
+    once. Read-only after {!prepare}, so it can be shared across
+    domains. *)
+
+val prepare : string -> program
+(** [prepare code] disassembles and indexes the bytecode. *)
+
+val run :
+  ?env:env ->
+  ?storage:Machine.Storage.t ->
+  ?gas_limit:int ->
+  ?record_trace:bool ->
+  program ->
+  calldata:string ->
+  unit ->
+  result
+(** Execute one message call without re-decoding the code. A jump
+    whose target is not a [JUMPDEST] (push data, or outside the code)
+    halts with [Bad_jump]. *)
+
 val execute :
   ?env:env ->
   ?storage:Machine.Storage.t ->
@@ -44,6 +65,7 @@ val execute :
   calldata:string ->
   unit ->
   result
+(** [execute ~code] is [run (prepare code)] — one-shot convenience. *)
 
 val succeeded : outcome -> bool
 (** True for [Stopped] and [Returned _]. *)

@@ -273,18 +273,23 @@ let divmod a b =
   then
     ( of_int64 (Int64.unsigned_div a.l0 b.l0),
       of_int64 (Int64.unsigned_rem a.l0 b.l0) )
-  else begin
-    let q = ref zero and r = ref zero in
-    for i = bits a - 1 downto 0 do
-      r := shift_left !r 1;
-      if get_bit a i then r := logor !r one;
-      if compare !r b >= 0 then begin
-        r := sub !r b;
-        q := logor !q (shift_left one i)
-      end
-    done;
-    (!q, !r)
-  end
+  else
+    (* Dividing by 2^k is a shift: old-solc dispatchers extract the
+       selector with DIV by 2^224 on every call. *)
+    let k = bits b - 1 in
+    if equal b pow2_pool.(k) then (shift_right a k, logand a (sub b one))
+    else begin
+      let q = ref zero and r = ref zero in
+      for i = bits a - 1 downto 0 do
+        r := shift_left !r 1;
+        if get_bit a i then r := logor !r one;
+        if compare !r b >= 0 then begin
+          r := sub !r b;
+          q := logor !q (shift_left one i)
+        end
+      done;
+      (!q, !r)
+    end
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -393,31 +398,61 @@ let of_hex s =
   String.iter (fun c -> r := logor (shift_left !r 4) (of_int (hex_digit c))) s;
   !r
 
-let to_hex_32 a =
-  let buf = Buffer.create 64 in
-  for i = 31 downto 0 do
-    Buffer.add_string buf
-      (Printf.sprintf "%02x" (to_int_trunc (byte (31 - i) a)))
-  done;
-  Buffer.contents buf
+(* The text and byte conversions work a limb at a time: eight bytes
+   are one [get_int64_be]/[set_int64_be], and a limb's 16 hex digits
+   come from two 32-bit halves and a digit table. *)
+let hex_digits = "0123456789abcdef"
+
+let put_hex_limb b pos l =
+  let hi = Int64.to_int (Int64.shift_right_logical l 32)
+  and lo = Int64.to_int (Int64.logand l 0xffffffffL) in
+  for i = 0 to 7 do
+    let sh = 28 - (4 * i) in
+    Bytes.unsafe_set b (pos + i) hex_digits.[(hi lsr sh) land 0xf];
+    Bytes.unsafe_set b (pos + 8 + i) hex_digits.[(lo lsr sh) land 0xf]
+  done
+
+let hex_64 a =
+  let b = Bytes.create 64 in
+  put_hex_limb b 0 a.l3;
+  put_hex_limb b 16 a.l2;
+  put_hex_limb b 32 a.l1;
+  put_hex_limb b 48 a.l0;
+  b
+
+let to_hex_32 a = Bytes.unsafe_to_string (hex_64 a)
 
 let to_hex a =
   if is_zero a then "0"
   else
-    let full = to_hex_32 a in
-    let rec first_nonzero i = if full.[i] <> '0' then i else first_nonzero (i + 1) in
+    let b = hex_64 a in
+    let rec first_nonzero i =
+      if Bytes.unsafe_get b i <> '0' then i else first_nonzero (i + 1)
+    in
     let i = first_nonzero 0 in
-    String.sub full i (64 - i)
+    Bytes.sub_string b i (64 - i)
 
 let of_bytes_be s =
   let n = String.length s in
   if n > 32 then invalid_arg "U256.of_bytes_be: too long";
-  let r = ref zero in
-  String.iter (fun c -> r := logor (shift_left !r 8) (of_int (Char.code c))) s;
-  !r
+  let s =
+    if n = 32 then s
+    else begin
+      let b = Bytes.make 32 '\000' in
+      Bytes.blit_string s 0 b (32 - n) n;
+      Bytes.unsafe_to_string b
+    end
+  in
+  interned (String.get_int64_be s 24) (String.get_int64_be s 16)
+    (String.get_int64_be s 8) (String.get_int64_be s 0)
 
 let to_bytes_be a =
-  String.init 32 (fun i -> Char.chr (to_int_trunc (byte i a)))
+  let b = Bytes.create 32 in
+  Bytes.set_int64_be b 0 a.l3;
+  Bytes.set_int64_be b 8 a.l2;
+  Bytes.set_int64_be b 16 a.l1;
+  Bytes.set_int64_be b 24 a.l0;
+  Bytes.unsafe_to_string b
 
 let ten = of_int 10
 

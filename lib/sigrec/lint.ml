@@ -275,9 +275,10 @@ let check_layout ?stats code =
   let observed = Hashtbl.create 32 in
   let ok = ref 0 in
   let entries = Contract.entries contract in
+  let program = Interp.prepare code in
   List.iter
     (fun { Ids.selector; _ } ->
-      let r = Interp.execute ~code ~calldata:(selector ^ calldata_tail) () in
+      let r = Interp.run program ~calldata:(selector ^ calldata_tail) () in
       if Interp.succeeded r.Interp.outcome then begin
         incr ok;
         List.iter

@@ -750,21 +750,11 @@ let analyze ?(depth = 0) ~entry cfg =
     }
   in
   (* The recording pass iterates a hash table, so impose a canonical
-     order on the storage events; each pc yields at most one event per
-     run, making this a total order. *)
+     order on the storage events: each reached block is interpreted once
+     and each instruction records at most one event, so [pc] alone is a
+     total order. *)
   let storage =
-    let slot_key = function
-      | None -> "?"
-      | Some s -> Format.asprintf "%a" Domain.pp_slot s
-    in
-    let key e =
-      match e.ev with
-      | Sload sl -> (e.pc, 0, slot_key sl, 0, 0)
-      | Sstore (sl, _) -> (e.pc, 1, slot_key sl, 0, 0)
-      | Sderive sl -> (e.pc, 2, slot_key (Some sl), 0, 0)
-      | Smask (sl, k, w) -> (e.pc, 3, slot_key (Some sl), k, w)
-    in
-    List.sort (fun a b -> compare (key a) (key b)) acc.r_storage
+    List.sort (fun a b -> Int.compare a.pc b.pc) acc.r_storage
   in
   (* a diverged analysis has no business steering the executor *)
   if not converged then Hashtbl.reset prune;

@@ -151,30 +151,18 @@ let region_lookup r off =
   !best
 
 
-(* A disassembled program ready for repeated runs: the instruction
-   index and jump-destination set are built once and shared across
-   every entry point (and, being read-only after [prepare], across
-   domains). *)
+(* A disassembled program ready for repeated runs: the pc-indexed op
+   table is built once and shared across every entry point (and, being
+   read-only after [prepare], across domains). *)
 type program = {
   code : string;
   instrs : Disasm.instruction list;
-  by_offset : (int, Opcode.t) Hashtbl.t;
-  jumpdests : (int, unit) Hashtbl.t;
+  ops : Opcode.t option array;
 }
 
 let prepare code =
   let instrs = Disasm.disassemble code in
-  let by_offset = Hashtbl.create (List.length instrs) in
-  List.iter
-    (fun i -> Hashtbl.replace by_offset i.Disasm.offset i.Disasm.op)
-    instrs;
-  let jumpdests = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      if i.Disasm.op = Opcode.JUMPDEST then
-        Hashtbl.replace jumpdests i.Disasm.offset ())
-    instrs;
-  { code; instrs; by_offset; jumpdests }
+  { code; instrs; ops = Disasm.op_table code instrs }
 
 let code p = p.code
 let instructions p = p.instrs
@@ -184,7 +172,7 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
   let r = Stdlib.Domain.DLS.get recorder_key in
   reset_recorder r;
   let t0 = if Tr.enabled () then Tr.now_ns () else 0 in
-  let { code; by_offset; jumpdests; _ } = program in
+  let { code; ops; _ } = program in
   (* free-symbol names are per-run so that a run's trace depends only on
      its own inputs: re-running the same (program, entry) yields
      byte-identical symbols no matter what ran before or concurrently *)
@@ -235,7 +223,7 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
         running := false
       end
       else
-        match Hashtbl.find_opt by_offset !pc with
+        match Disasm.op_at ops !pc with
         | None -> running := false
         | Some op ->
           let cur_pc = !pc in
@@ -427,13 +415,13 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
           | Opcode.JUMP -> (
             let target = pop () in
             match Sexpr.to_const_int target with
-            | Some t when Hashtbl.mem jumpdests t -> pc := t
+            | Some t when Disasm.is_jumpdest ops t -> pc := t
             | _ -> running := false)
           | Opcode.JUMPI -> (
             let target = pop () in
             let cond = pop () in
             match Sexpr.to_const_int target with
-            | Some t when Hashtbl.mem jumpdests t -> (
+            | Some t when Disasm.is_jumpdest ops t -> (
               record_jumpi_cond r cur_pc cond;
               Hashtbl.replace r.jumpi_targets cur_pc t;
               (* Vyper-style range checks: guard compares a raw loaded

@@ -22,9 +22,10 @@ type prune_decision = Take_jump | Take_fallthrough
     matter for call-data access, so follow it instead of forking. *)
 
 type program
-(** A disassembled program ready for repeated runs: the instruction
-    index and jump-destination set are built once. Read-only after
-    {!prepare}, so a program can be shared across domains. *)
+(** A disassembled program ready for repeated runs: the pc-indexed op
+    table (which also answers jump-destination validity) is built once.
+    Read-only after {!prepare}, so a program can be shared across
+    domains. *)
 
 val prepare : string -> program
 (** [prepare code] disassembles and indexes the bytecode. *)

@@ -52,6 +52,7 @@ let raw_input rng selector =
 
 let run_campaign ?(budget = 96) ~rng ~code ~selector mode =
   let dict = dictionary code in
+  let program = Interp.prepare code in
   let executions = ref 0 and first_hit = ref None in
   (try
      for i = 1 to budget do
@@ -63,7 +64,7 @@ let run_campaign ?(budget = 96) ~rng ~code ~selector mode =
            Abi.Encode.encode_call ~selector tys args
          | Raw -> raw_input rng selector
        in
-       let res = Interp.execute ~gas_limit:500_000 ~code ~calldata () in
+       let res = Interp.run ~gas_limit:500_000 program ~calldata () in
        if res.Interp.outcome = Interp.Invalid_op then begin
          first_hit := Some i;
          raise Exit
@@ -76,6 +77,7 @@ let run_campaign ?(budget = 96) ~rng ~code ~selector mode =
    counters, mutate one argument of a kept seed at a time. *)
 let run_coverage_campaign ?(budget = 96) ~rng ~code ~selector tys =
   let dict = dictionary code in
+  let program = Interp.prepare code in
   let seen_pcs = Hashtbl.create 256 in
   let corpus = ref [] in
   let executions = ref 0 and first_hit = ref None in
@@ -104,7 +106,7 @@ let run_coverage_campaign ?(budget = 96) ~rng ~code ~selector tys =
        in
        let calldata = Abi.Encode.encode_call ~selector tys args in
        let res =
-         Interp.execute ~gas_limit:500_000 ~record_trace:true ~code ~calldata ()
+         Interp.run ~gas_limit:500_000 ~record_trace:true program ~calldata ()
        in
        if res.Interp.outcome = Interp.Invalid_op then begin
          first_hit := Some i;

@@ -162,6 +162,81 @@ let prop_differential =
                (OR, U256.logor); (XOR, U256.logxor);
              ]))
 
+(* -- dispatch through the pc-indexed op table ----------------------------- *)
+
+let expect_bad_jump name want res =
+  match res.Interp.outcome with
+  | Interp.Bad_jump t when t = want -> ()
+  | o ->
+    Alcotest.failf "%s: expected bad jump to %d, got %a" name want
+      Interp.pp_outcome o
+
+(* A 0x5b byte inside a PUSH immediate is push data, not a JUMPDEST,
+   and a target at or past the end of the code is no instruction. *)
+let exec_hex hex = Interp.execute ~code:(Hex.decode hex) ~calldata:"" ()
+
+(* PUSH1 t; JUMP; PUSH2 0x5b5b; JUMPDEST; STOP — eight bytes, push
+   data at 4 and 5 *)
+let jump_to t = exec_hex (Printf.sprintf "60%02x56615b5b5b00" t)
+
+(* PUSH1 1; PUSH1 t; JUMPI; PUSH2 0x5b5b; JUMPDEST; STOP — ten bytes,
+   push data at 6 and 7 *)
+let jumpi_to t = exec_hex (Printf.sprintf "600160%02x57615b5b5b00" t)
+
+let test_jump_into_push_data () =
+  expect_bad_jump "JUMP" 4 (jump_to 4);
+  Alcotest.(check bool) "JUMP to the real JUMPDEST" true
+    ((jump_to 6).Interp.outcome = Interp.Stopped);
+  expect_bad_jump "JUMPI" 6 (jumpi_to 6);
+  Alcotest.(check bool) "JUMPI to the real JUMPDEST" true
+    ((jumpi_to 8).Interp.outcome = Interp.Stopped)
+
+let test_jump_past_end () =
+  expect_bad_jump "JUMP to the end" 8 (jump_to 8);
+  expect_bad_jump "JUMP past the end" 0xff (jump_to 0xff);
+  expect_bad_jump "JUMPI to the end" 10 (jumpi_to 10);
+  expect_bad_jump "JUMPI past the end" 0xff (jumpi_to 0xff)
+
+(* One prepared program serves any number of runs: each must be the
+   same, field for field, as a one-shot [execute] of the same call. The
+   contract declares storage, so a dispatched call writes some. *)
+let test_prepared_runs () =
+  let code =
+    (List.hd (Solc.Corpus.layout_set ~seed:3 ~n:1)).Solc.Corpus.lcode
+  in
+  let selector = (List.hd (Sigrec.Ids.extract code)).Sigrec.Ids.selector in
+  let word = String.make 31 '\000' ^ "\001" in
+  let calldatas =
+    [ selector ^ String.concat "" (List.init 8 (fun _ -> word));
+      "\xde\xad\xbe\xef"; "" ]
+  in
+  let program = Interp.prepare code in
+  let bindings r =
+    List.map
+      (fun (k, v) -> (U256.to_hex k, U256.to_hex v))
+      (Machine.Storage.bindings r.Interp.storage)
+  in
+  let writes =
+    List.mapi
+      (fun i calldata ->
+        let a = Interp.run ~record_trace:true program ~calldata () in
+        let b = Interp.execute ~record_trace:true ~code ~calldata () in
+        let name what = Printf.sprintf "call %d: %s" i what in
+        Alcotest.(check bool) (name "outcome") true
+          (a.Interp.outcome = b.Interp.outcome);
+        Alcotest.(check int) (name "gas_used") b.Interp.gas_used
+          a.Interp.gas_used;
+        Alcotest.(check int) (name "steps") b.Interp.steps a.Interp.steps;
+        Alcotest.(check (list int)) (name "trace_pcs") b.Interp.trace_pcs
+          a.Interp.trace_pcs;
+        Alcotest.(check (list (pair string string))) (name "storage")
+          (bindings b) (bindings a);
+        List.length (bindings a))
+      calldatas
+  in
+  Alcotest.(check bool) "the dispatched call wrote storage" true
+    (List.hd writes > 0)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -177,4 +252,7 @@ let suite =
     Alcotest.test_case "environment" `Quick test_env_values;
     Alcotest.test_case "trace recording" `Quick test_trace;
     prop_differential;
+    Alcotest.test_case "jump into push data" `Quick test_jump_into_push_data;
+    Alcotest.test_case "jump to or past the end" `Quick test_jump_past_end;
+    Alcotest.test_case "prepared runs match execute" `Quick test_prepared_runs;
   ]

@@ -425,6 +425,50 @@ let test_domain_eval_parity () =
     Alcotest.(check bool) "EXP matches" true (U256.equal v (U256.of_int 1024))
   | None -> Alcotest.fail "EXP not evaluated"
 
+(* ---- storage event order ------------------------------------------- *)
+
+(* The storage events are sorted by pc alone, which is a total order
+   only because every reached block is interpreted once per recording
+   pass and every instruction records at most one event. Pin that on
+   both run shapes: the whole-contract runs (depth 0, before and after
+   jump resolution) and the per-entry runs (depth 1). *)
+let test_storage_events_ascending_pc () =
+  let codes =
+    List.map
+      (fun s -> s.Solc.Corpus.lcode)
+      (Solc.Corpus.layout_set ~seed:5 ~n:30)
+    @ List.map
+        (fun s -> s.Solc.Corpus.tcode)
+        (Solc.Corpus.token_set ~seed:5 ~n:30)
+  in
+  let events = ref 0 in
+  let check what (r : Absint.result) =
+    let pcs = List.map (fun e -> e.Absint.pc) r.Absint.storage in
+    events := !events + List.length pcs;
+    let rec ascending = function
+      | a :: (b :: _ as rest) -> a < b && ascending rest
+      | _ -> true
+    in
+    if not (ascending pcs) then
+      Alcotest.failf "%s: storage pcs not strictly ascending: %s" what
+        (String.concat " " (List.map string_of_int pcs))
+  in
+  List.iter
+    (fun code ->
+      let r0 = Absint.analyze ~depth:0 ~entry:0 (Cfg.build code) in
+      check "depth 0" r0;
+      check "depth 0, resolved"
+        (Absint.analyze ~depth:0 ~entry:0 (Absint.resolved_cfg r0));
+      let contract = Sigrec.Contract.make code in
+      List.iter
+        (fun (e : Sigrec.Ids.entry) ->
+          check "depth 1"
+            (Absint.analyze ~depth:1 ~entry:e.Sigrec.Ids.entry_pc
+               contract.Sigrec.Contract.cfg))
+        (Sigrec.Contract.entries contract))
+    codes;
+  Alcotest.(check bool) "storage events recorded" true (!events > 100)
+
 let suite =
   [
     Alcotest.test_case "cross-block jump resolution" `Quick
@@ -456,4 +500,6 @@ let suite =
     Alcotest.test_case "keccak derivations recorded" `Quick
       test_keccak_constant_derivations;
     Alcotest.test_case "domain eval parity" `Quick test_domain_eval_parity;
+    Alcotest.test_case "storage events in ascending pc order" `Quick
+      test_storage_events_ascending_pc;
   ]

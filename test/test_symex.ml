@@ -434,6 +434,36 @@ let test_query_memo_consistency () =
   Alcotest.(check bool) "rebuild hits the interner" true (hits1 > hits0);
   Alcotest.(check int) "rebuild allocates nothing" misses0 misses1
 
+(* A jump the interpreter answers with [Bad_jump] ends the symbolic
+   path: a 0x5b byte inside a PUSH immediate is push data, and a target
+   at or past the end of the code is no instruction at all. Both
+   programs load call data after the real JUMPDEST; the JUMPI program
+   branches on call data, so a target taken as valid forks a second
+   path that loads it. *)
+let test_invalid_jump_targets_end_path () =
+  (* PUSH1 t; JUMP; PUSH2 0x5b5b; JUMPDEST; PUSH1 4; CALLDATALOAD;
+     STOP — eleven bytes *)
+  let jump t = Printf.sprintf "60%02x56615b5b5b60043500" t in
+  (* PUSH1 0; CALLDATALOAD; PUSH1 t; JUMPI; PUSH2 0x5b5b; JUMPDEST;
+     PUSH1 4; CALLDATALOAD; STOP — fourteen bytes *)
+  let jumpi t = Printf.sprintf "60003560%02x57615b5b5b60043500" t in
+  let check name hex ~paths ~loads =
+    let t =
+      Symex.Exec.run ~code:(Hex.decode hex) ~entry:0 ~init_stack:[] ()
+    in
+    Alcotest.(check int) (name ^ ": paths") paths t.Trace.paths_explored;
+    Alcotest.(check int) (name ^ ": loads") loads
+      (List.length t.Trace.loads)
+  in
+  check "JUMP to the JUMPDEST" (jump 6) ~paths:1 ~loads:1;
+  check "JUMP into push data" (jump 4) ~paths:1 ~loads:0;
+  check "JUMP to the end" (jump 11) ~paths:1 ~loads:0;
+  check "JUMP past the end" (jump 0xff) ~paths:1 ~loads:0;
+  check "JUMPI to the JUMPDEST" (jumpi 9) ~paths:2 ~loads:2;
+  check "JUMPI into push data" (jumpi 7) ~paths:1 ~loads:1;
+  check "JUMPI to the end" (jumpi 14) ~paths:1 ~loads:1;
+  check "JUMPI past the end" (jumpi 0xff) ~paths:1 ~loads:1
+
 let suite =
   [
     Alcotest.test_case "load recorded" `Quick test_load_recorded;
@@ -458,4 +488,6 @@ let suite =
       test_simplifier_matches_oracle;
     Alcotest.test_case "query memo consistency" `Quick
       test_query_memo_consistency;
+    Alcotest.test_case "invalid jump targets end the path" `Quick
+      test_invalid_jump_targets_end_path;
   ]

@@ -275,6 +275,71 @@ let test_pooled_constants_physical () =
   phys "masks pooled" true (U256.ones_low 20 == U256.ones_low 20);
   phys "zero canonical" true (U256.sub U256.one U256.one == U256.zero)
 
+(* -- limb-wise conversions -------------------------------------------------
+
+   Round trips cannot catch a byte-order slip made the same way in both
+   directions, so the conversions are also checked against answers built
+   independently: [of_hex] of the same digits, and a byte-at-a-time
+   rendering through [byte]. *)
+
+let test_of_bytes_be_known () =
+  for n = 0 to 32 do
+    let bytes =
+      String.init n (fun i -> Char.chr ((0x9d + (i * 37)) land 0xff))
+    in
+    let digits =
+      String.concat ""
+        (List.init n (fun i -> Printf.sprintf "%02x" (Char.code bytes.[i])))
+    in
+    let want = if n = 0 then U256.zero else U256.of_hex digits in
+    check_u (Printf.sprintf "%d bytes" n) want (U256.of_bytes_be bytes)
+  done;
+  Alcotest.(check bool) "small results land in the pool" true
+    (U256.of_bytes_be "\001\000" == U256.of_int 256)
+
+let bytes_by_byte a =
+  String.init 32 (fun i -> Char.chr (U256.to_int_trunc (U256.byte i a)))
+
+let hex_by_byte a =
+  String.concat ""
+    (List.init 32 (fun i ->
+         Printf.sprintf "%02x" (U256.to_int_trunc (U256.byte i a))))
+
+(* Old-solc dispatchers move the selector into place by dividing the
+   first call-data word by 2^224. *)
+let test_selector_division () =
+  let tail = String.concat "" (List.init 28 (fun _ -> "01")) in
+  let word = U256.of_hex ("70a08231" ^ tail) in
+  check_u "selector" (of_s "0x70a08231") (U256.div word (U256.pow2 224));
+  check_u "residue" (U256.of_hex tail) (U256.rem word (U256.pow2 224))
+
+(* random words cut to a random width, so leading zero bytes occur *)
+let arb_width =
+  QCheck.map ~rev:(fun a -> (a, 0))
+    (fun (a, k) -> U256.shift_right a k)
+    (QCheck.pair arb_u256 QCheck.(int_bound 256))
+
+let conversion_properties =
+  [
+    prop "conversions match a byte-at-a-time reference" arb_width
+      (fun a ->
+        let hex = hex_by_byte a in
+        let rec strip i =
+          if i < 63 && hex.[i] = '0' then strip (i + 1) else i
+        in
+        let i = strip 0 in
+        U256.to_bytes_be a = bytes_by_byte a
+        && U256.to_hex_32 a = hex
+        && U256.to_hex a = String.sub hex i (64 - i));
+    prop "divmod by every power of two" arb_width (fun a ->
+        List.for_all
+          (fun k ->
+            let b = U256.pow2 k in
+            let q = U256.div a b and r = U256.rem a b in
+            U256.equal (U256.add (U256.mul q b) r) a && U256.lt r b)
+          (List.init 256 Fun.id));
+  ]
+
 let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
@@ -297,3 +362,10 @@ let suite =
       test_pooled_constants_physical;
   ]
   @ properties
+  @ [
+      Alcotest.test_case "of_bytes_be known answers" `Quick
+        test_of_bytes_be_known;
+      Alcotest.test_case "selector division by 2^224" `Quick
+        test_selector_division;
+    ]
+  @ conversion_properties
