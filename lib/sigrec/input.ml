@@ -56,87 +56,104 @@ type totals = { lines : int; codes : int; skipped : int }
 
 let default_max_line_bytes = 4 * 1024 * 1024
 
-let fold_reads ?warn ?(max_line_bytes = default_max_line_bytes) ~read ~f init =
-  let chunk = Bytes.create 65536 in
-  (* holds a line spanning chunk boundaries; empty in the common case
-     of a line completed within one chunk, so short lines never go
-     through the buffer at all *)
-  let pending = Buffer.create 256 in
-  (* an oversized line is skipped without ever being materialized: the
-     buffer is dropped and the remainder of the line discarded as it
-     streams past *)
-  let discarding = ref false in
-  let lineno = ref 0 in
-  let codes = ref 0 and skipped = ref 0 in
-  let acc = ref init in
-  let dispatch line =
-    incr lineno;
-    if !discarding then begin
-      discarding := false;
-      incr skipped;
-      match warn with
-      | Some w ->
-        w ~line:!lineno
-          ~reason:(Printf.sprintf "line exceeds %d bytes" max_line_bytes)
-      | None -> ()
+(* One reader per input: lines come back one at a time, so a caller
+   can stop at a sentinel and leave what follows buffered for the next
+   read. *)
+type reader = {
+  read : bytes -> int;
+  max_line_bytes : int;
+  chunk : bytes;
+  mutable pos : int; (* next unread byte of [chunk] *)
+  mutable len : int; (* bytes of [chunk] filled by the last read *)
+  mutable eof : bool; (* [read] returned 0; it is not called again *)
+  pending : Buffer.t;
+      (* a line spanning chunk boundaries; empty in the common case of a
+         line completed within one chunk, so short lines never go
+         through it *)
+}
+
+let reader ?(max_line_bytes = default_max_line_bytes) read =
+  {
+    read;
+    max_line_bytes;
+    chunk = Bytes.create 65536;
+    pos = 0;
+    len = 0;
+    eof = false;
+    pending = Buffer.create 256;
+  }
+
+let too_long r = Printf.sprintf "line exceeds %d bytes" r.max_line_bytes
+
+let take_pending r =
+  let line = Buffer.contents r.pending in
+  Buffer.clear r.pending;
+  line
+
+(* An oversized line is never materialized: what is held of it is
+   dropped and the rest discarded as it streams past, so the cap holds
+   however the line falls across reads. *)
+let rec scan r too_long =
+  if r.pos = r.len && not r.eof then begin
+    r.pos <- 0;
+    r.len <- r.read r.chunk;
+    r.eof <- r.len = 0
+  end;
+  if r.eof then
+    (* a final line without a trailing newline is still a line *)
+    if too_long then `Too_long
+    else if Buffer.length r.pending > 0 then `Line (take_pending r)
+    else `Eof
+  else begin
+    let start = r.pos in
+    let stop = ref start in
+    while !stop < r.len && Bytes.unsafe_get r.chunk !stop <> '\n' do
+      incr stop
+    done;
+    let n = !stop - start in
+    let ended = !stop < r.len in
+    r.pos <- (if ended then !stop + 1 else r.len);
+    if too_long || Buffer.length r.pending + n > r.max_line_bytes then begin
+      Buffer.clear r.pending;
+      if ended then `Too_long else scan r true
     end
-    else
+    else if ended && Buffer.length r.pending = 0 then
+      `Line (Bytes.sub_string r.chunk start n)
+    else begin
+      Buffer.add_subbytes r.pending r.chunk start n;
+      if ended then `Line (take_pending r) else scan r false
+    end
+  end
+
+let next_line r = scan r false
+
+let fold_reads ?warn ?max_line_bytes ~read ~f init =
+  let r = reader ?max_line_bytes read in
+  let lines = ref 0 and codes = ref 0 and skipped = ref 0 in
+  let skip reason =
+    incr skipped;
+    match warn with Some w -> w ~line:!lines ~reason | None -> ()
+  in
+  let rec loop acc =
+    match next_line r with
+    | `Eof -> acc
+    | `Too_long ->
+      incr lines;
+      skip (too_long r);
+      loop acc
+    | `Line line -> (
+      incr lines;
       match parse_line line with
-      | `Blank -> ()
+      | `Blank -> loop acc
       | `Code code ->
         incr codes;
-        acc := f !acc code
-      | `Bad msg -> (
-        incr skipped;
-        match warn with
-        | Some w -> w ~line:!lineno ~reason:msg
-        | None -> ())
+        loop (f acc code)
+      | `Bad msg ->
+        skip msg;
+        loop acc)
   in
-  let eof = ref false in
-  while not !eof do
-    let n = read chunk in
-    if n = 0 then eof := true
-    else begin
-      let start = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get chunk i = '\n' then begin
-          let len = i - !start in
-          if !discarding || Buffer.length pending + len > max_line_bytes
-          then begin
-            (* the cap holds however the line fell across reads *)
-            discarding := true;
-            Buffer.clear pending;
-            dispatch ""
-          end
-          else if Buffer.length pending = 0 then
-            dispatch (Bytes.sub_string chunk !start len)
-          else begin
-            Buffer.add_subbytes pending chunk !start len;
-            dispatch (Buffer.contents pending);
-            Buffer.clear pending
-          end;
-          start := i + 1
-        end
-      done;
-      if !start < n && not !discarding then begin
-        let len = n - !start in
-        if Buffer.length pending + len > max_line_bytes then begin
-          discarding := true;
-          Buffer.clear pending
-        end
-        else Buffer.add_subbytes pending chunk !start len
-      end
-    end
-  done;
-  (* a final line without a trailing newline is still a line; input
-     ending exactly at a newline adds nothing (the trailing "" that
-     [parse_batch] sees there is blank anyway) *)
-  if Buffer.length pending > 0 || !discarding then begin
-    let line = Buffer.contents pending in
-    Buffer.clear pending;
-    dispatch line
-  end;
-  (!acc, { lines = !lineno; codes = !codes; skipped = !skipped })
+  let acc = loop init in
+  (acc, { lines = !lines; codes = !codes; skipped = !skipped })
 
 let fold_lines ?warn ?max_line_bytes ~f init ic =
   fold_reads ?warn ?max_line_bytes

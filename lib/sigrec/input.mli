@@ -43,6 +43,28 @@ val parse_line : string -> [ `Blank | `Code of string | `Bad of string ]
     skipped. *)
 type totals = { lines : int; codes : int; skipped : int }
 
+val default_max_line_bytes : int
+(** The longest line a reader holds: 4 MiB. *)
+
+type reader
+(** Lines pulled one at a time from a block source, in fixed-size
+    chunks, holding at most one line. A caller can stop at a sentinel
+    line and read on later without losing buffered bytes. *)
+
+val reader : ?max_line_bytes:int -> (bytes -> int) -> reader
+(** [reader read]: [read buf] fills [buf] from the front and returns the
+    number of bytes written, 0 at end of input (it is not called again
+    after that). Lines longer than [max_line_bytes] (default
+    {!default_max_line_bytes}) are never materialized. *)
+
+val next_line : reader -> [ `Line of string | `Too_long | `Eof ]
+(** The next line without its ['\n'] (a final line without one still
+    counts), [`Too_long] for a line over the cap (its bytes are
+    discarded as they stream past), [`Eof] at end of input. *)
+
+val too_long : reader -> string
+(** ["line exceeds N bytes"], N being the reader's cap. *)
+
 val fold_lines :
   ?warn:(line:int -> reason:string -> unit) ->
   ?max_line_bytes:int ->
@@ -66,6 +88,4 @@ val fold_reads :
   f:('a -> string -> 'a) ->
   'a ->
   'a * totals
-(** The reader underneath {!fold_lines}, over an arbitrary block
-    source: [read buf] fills [buf] from the front and returns the
-    number of bytes written, 0 at end of input. *)
+(** {!fold_lines} over an arbitrary block source, as for {!reader}. *)

@@ -218,59 +218,64 @@ let handle_line t line =
       (Tr.now_ns () - t0);
   result
 
+let write_line oc s =
+  Out_channel.output_string oc s;
+  Out_channel.output_char oc '\n';
+  Out_channel.flush oc
+
 (* Streaming mode: after a {"op":"stream"} ack the connection carries
    corpus lines — the same grammar as a batch file (hex bytecodes,
    blank lines and # comments skipped) — until a lone "." sentinel
    (back to request mode) or EOF. Each contract's report goes out as
-   one {"id":…,"report":…} line in feed order; malformed lines become
-   in-band {"id":…,"warning":…} lines so stderr stays quiet on a
-   socket. Batching, cross-batch dedup against the engine's report
-   cache and worker fan-out all come from [Engine.Stream]. *)
-let run_stream t id ic oc =
-  let emit_line s =
-    Out_channel.output_string oc s;
-    Out_channel.output_char oc '\n';
-    Out_channel.flush oc
-  in
+   one {"id":…,"report":…} line in feed order; malformed and oversized
+   lines become in-band {"id":…,"warning":…} lines so stderr stays
+   quiet on a socket. Batching, cross-batch dedup against the engine's
+   report cache and worker fan-out all come from [Engine.Stream]. *)
+let run_stream t id r oc =
   let dedup = ref 0 in
   let emit r =
     if r.Engine.from_cache then incr dedup;
-    emit_line (Json.obj [ ("id", id); ("report", Render.report r) ])
+    write_line oc (Json.obj [ ("id", id); ("report", Render.report r) ])
   in
   let session = Engine.Stream.start t.engine ~emit in
   let lines = ref 0 and skipped = ref 0 in
+  let warn reason =
+    incr skipped;
+    write_line oc
+      (Json.obj
+         [
+           ("id", id);
+           ( "warning",
+             Json.obj
+               [
+                 ("line", string_of_int !lines);
+                 ("reason", Json.quote reason);
+               ] );
+         ])
+  in
   let eof = ref false and ended = ref false in
   while not !ended do
-    match In_channel.input_line ic with
-    | None ->
+    match Input.next_line r with
+    | `Eof ->
       eof := true;
       ended := true
-    | Some line ->
+    | `Too_long ->
+      incr lines;
+      warn (Input.too_long r)
+    | `Line line ->
       if String.trim line = "." then ended := true
       else begin
         incr lines;
         match Input.parse_line line with
         | `Blank -> ()
         | `Code code -> Engine.Stream.feed session code
-        | `Bad reason ->
-          incr skipped;
-          emit_line
-            (Json.obj
-               [
-                 ("id", id);
-                 ( "warning",
-                   Json.obj
-                     [
-                       ("line", string_of_int !lines);
-                       ("reason", Json.quote reason);
-                     ] );
-               ])
+        | `Bad reason -> warn reason
       end
   done;
   let contracts = Engine.Stream.finish session in
   Stats.add_stream_lines (Engine.stats t.engine) ~lines:!lines
     ~skipped:!skipped;
-  emit_line
+  write_line oc
     (Json.obj
        [
          ("id", id);
@@ -283,23 +288,31 @@ let run_stream t id ic oc =
        ]);
   if !eof then `Eof else `Done
 
+(* Both modes read the connection through one [Input.reader], so bytes
+   buffered past a "." sentinel are still there for the request loop,
+   and a client that never sends a newline cannot grow the heap. *)
 let run t ic oc =
+  let r =
+    Input.reader (fun buf -> In_channel.input ic buf 0 (Bytes.length buf))
+  in
   let rec loop () =
-    match In_channel.input_line ic with
-    | None -> `Eof
-    | Some line ->
+    match Input.next_line r with
+    | `Eof -> `Eof
+    | `Too_long ->
+      Mx.inc t.requests;
+      write_line oc (error_response "null" ("request " ^ Input.too_long r));
+      loop ()
+    | `Line line ->
       if String.trim line = "" then loop ()
       else begin
         let reply = handle_line t line in
-        Out_channel.output_string oc reply.response;
-        Out_channel.output_char oc '\n';
-        Out_channel.flush oc;
+        write_line oc reply.response;
         if reply.shutdown then `Shutdown
         else
           match reply.stream with
           | None -> loop ()
           | Some id ->
-            (match run_stream t id ic oc with
+            (match run_stream t id r oc with
             | `Eof -> `Eof
             | `Done -> loop ())
       end

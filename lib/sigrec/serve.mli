@@ -53,7 +53,14 @@
     input, and a final
     [{"id":X, "ok":true, "done":true, "contracts":…, "lines":…,
     "skipped":…, "dedup_hits":…}] summary. Constant memory: at most
-    one batch of bytecodes is resident at a time. *)
+    one batch of bytecodes is resident at a time.
+
+    {b Line cap.} No line is held beyond
+    {!Input.default_max_line_bytes} (4 MiB). An oversized request is
+    answered [{"id":null, "ok":false, "error":"request line exceeds
+    4194304 bytes"}]; an oversized corpus line in streaming mode is an
+    in-band warning with reason ["line exceeds 4194304 bytes"] and
+    counts as skipped. The session continues in both cases. *)
 
 type t
 
@@ -73,14 +80,6 @@ type reply = {
 
 val handle_line : t -> string -> reply
 (** Handle one request line. Never raises. *)
-
-val run_stream :
-  t -> string -> in_channel -> out_channel -> [ `Eof | `Done ]
-(** Drive one streaming session (after its ack has been written): read
-    corpus lines from [ic] until ["."] ([`Done] — the caller resumes
-    request mode) or EOF ([`Eof]), emitting report/warning/summary
-    lines on [oc] as described above. {!run} calls this; it is
-    exposed for channel owners that run their own request loop. *)
 
 val run : t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 (** Serve until EOF or a ["shutdown"] request; each response line is

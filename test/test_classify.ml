@@ -314,6 +314,34 @@ let test_layout_forced_breaks_tie () =
   Alcotest.(check bool) "no support without layout" false
     (Option.get v0.C.best).C.layout_support
 
+(* -- accuracy on the labeled corpus ------------------------------------- *)
+
+(* Over the generator's labeled token corpus, every exact verdict is
+   right (precision 1.0: the planted negatives — dropped members,
+   selector collisions, non-tokens — never classify exact) and at least
+   95% of the exact positives are found. *)
+let test_labeled_corpus_accuracy () =
+  let samples = Solc.Corpus.token_set ~seed:20230723 ~n:60 in
+  let reports =
+    Sigrec.Engine.classify_all (engine ())
+      (List.map (fun s -> s.Solc.Corpus.tcode) samples)
+  in
+  let positives = ref 0 and claims = ref 0 and correct = ref 0 in
+  List.iter2
+    (fun (s : Solc.Corpus.token_sample) (r : Sigrec.Engine.classify_report) ->
+      let v = r.Sigrec.Engine.verdict in
+      if s.Solc.Corpus.texact then incr positives;
+      if best_level v = Some C.Exact then begin
+        incr claims;
+        if s.Solc.Corpus.texact && C.label v = s.Solc.Corpus.tlabel then
+          incr correct
+      end)
+    samples reports;
+  Alcotest.(check int) "precision: every exact claim correct" !claims !correct;
+  Alcotest.(check bool) "the corpus has exact positives" true (!positives > 0);
+  if float_of_int !correct < 0.95 *. float_of_int !positives then
+    Alcotest.failf "recall %d/%d below 0.95" !correct !positives
+
 let suite =
   [
     Alcotest.test_case "§5.2 type compatibility" `Quick test_compatible;
@@ -339,4 +367,6 @@ let suite =
       test_layout_lazy_on_clear_winner;
     Alcotest.test_case "layout forced to break a tie" `Quick
       test_layout_forced_breaks_tie;
+    Alcotest.test_case "labeled corpus: precision 1.0, recall >= 0.95" `Quick
+      test_labeled_corpus_accuracy;
   ]

@@ -266,14 +266,18 @@ let test_stream_matches_batch () =
   (* recover_stream must emit report-for-report what recover_all
      returns — up to from_cache flags, which depend on where the batch
      boundaries fall — whatever the batch size, including one that
-     forces a flush on every feed and one larger than the corpus *)
+     forces a flush on every feed and one larger than the corpus; and
+     on 400 chain-profile lines (90% duplicates) at batch 64 *)
   let distinct = corpus_codes ~seed:14 6 in
   let codes =
     distinct @ [ List.nth distinct 2; List.hd distinct ] @ distinct
   in
-  let batch_reports = Sigrec.Engine.recover_all (engine ()) codes in
+  let chain = ref [] in
+  Solc.Corpus.stream ~seed:20230717 ~n:400 ~dup_rate:0.9 (fun code ->
+      chain := code :: !chain);
   List.iter
-    (fun batch ->
+    (fun (codes, batch) ->
+      let batch_reports = Sigrec.Engine.recover_all (engine ()) codes in
       let emitted = ref [] in
       let fed =
         Sigrec.Engine.recover_stream ~batch (engine ()) (List.to_seq codes)
@@ -286,7 +290,7 @@ let test_stream_matches_batch () =
         (Printf.sprintf "batch %d: identical reports" batch)
         (render batch_reports)
         (render (List.rev !emitted)))
-    [ 1; 4; 256 ]
+    [ (codes, 1); (codes, 4); (codes, 256); (List.rev !chain, 64) ]
 
 let test_stream_dedup_counted () =
   let distinct = corpus_codes ~seed:15 3 in
@@ -349,7 +353,7 @@ let render_layouts reports =
        reports)
 
 let test_layout_parallel_matches_sequential () =
-  let codes = layout_codes 8 in
+  let codes = layout_codes 60 in
   let seq = Sigrec.Engine.layout_all (engine ~jobs:1 ()) codes in
   let par = Sigrec.Engine.layout_all (engine ~jobs:4 ()) codes in
   Alcotest.(check int) "one layout per input" (List.length codes)
@@ -358,13 +362,13 @@ let test_layout_parallel_matches_sequential () =
     (render_layouts par)
 
 let test_layout_cache_and_dedup () =
-  let distinct = layout_codes ~seed:22 4 in
+  let distinct = layout_codes ~seed:22 60 in
   let codes = distinct @ [ List.hd distinct ] in
   let engine = engine ~jobs:2 () in
   let cold = Sigrec.Engine.layout_all engine codes in
   (* in-batch duplicate answered without re-analysis *)
   Alcotest.(check (list bool)) "only the duplicate attributed to cache"
-    [ false; false; false; false; true ]
+    (List.map (fun _ -> false) distinct @ [ true ])
     (List.map (fun r -> r.Sigrec.Engine.layout_from_cache) cold);
   Alcotest.(check int) "one analysis per distinct bytecode"
     (List.length distinct)

@@ -154,6 +154,9 @@ let test_layout_corpus_zero_disagreements () =
            s.Solc.Corpus.lversion.Solc.Version.name
            (String.concat " " (List.map Lang.show_svar s.Solc.Corpus.svars)))
         (show_shape want) (show_shape got);
+      Alcotest.(check bool) "analysis complete" true layout.Layout.complete;
+      Alcotest.(check int) "no unresolved storage ops" 0
+        layout.Layout.unknown_ops;
       List.iter
         (fun (v : Lang.svar) ->
           let k =

@@ -1,6 +1,7 @@
 (* Failure injection: SigRec is meant to run on arbitrary deployed
-   bytecode, so recovery must terminate and never raise on garbage,
-   truncated or bit-flipped input. *)
+   bytecode, so every product must terminate and never raise on
+   garbage, truncated or bit-flipped input — and answer it the same
+   way every time. *)
 
 let no_exn name f =
   match f () with
@@ -8,47 +9,115 @@ let no_exn name f =
   | exception e ->
     Alcotest.failf "%s raised %s" name (Printexc.to_string e)
 
-let test_empty_and_garbage () =
-  no_exn "empty" (fun () -> Sigrec.Recover.recover "");
-  no_exn "single byte" (fun () -> Sigrec.Recover.recover "\xfe");
-  no_exn "all zeroes" (fun () -> Sigrec.Recover.recover (String.make 200 '\000'));
-  no_exn "all ff" (fun () -> Sigrec.Recover.recover (String.make 200 '\xff'));
-  no_exn "ascii" (fun () -> Sigrec.Recover.recover "hello, this is not bytecode")
+(* -- hostile inputs ------------------------------------------------------ *)
 
-let test_truncated_contracts () =
+let garbage =
+  [
+    ("empty", "");
+    ("single byte", "\xfe");
+    ("all zeroes", String.make 200 '\000');
+    ("all ff", String.make 200 '\xff');
+    ("ascii", "hello, this is not bytecode");
+  ]
+
+(* every prefix of a compiled contract *)
+let truncated () =
   let fsig =
     Abi.Funsig.make "t" [ Abi.Abity.Darray (Abi.Abity.Uint 8); Abi.Abity.Bytes ]
   in
   let code = Solc.Compile.compile_fn (Solc.Lang.fn_of_sig fsig) in
-  (* every prefix must be analysable without crashing *)
   let n = String.length code in
-  List.iter
-    (fun k ->
-      let cut = String.sub code 0 (n * k / 10) in
-      no_exn (Printf.sprintf "prefix %d0%%" k) (fun () ->
-          Sigrec.Recover.recover cut))
+  List.map
+    (fun k -> (Printf.sprintf "prefix %d0%%" k, String.sub code 0 (n * k / 10)))
     [ 1; 3; 5; 7; 9 ]
 
-let test_bitflipped_contracts () =
-  let fsig =
-    Abi.Funsig.make "t" [ Abi.Abity.Uint 64; Abi.Abity.Sarray (Abi.Abity.Bool, 2) ]
-  in
-  let code = Solc.Compile.compile_fn (Solc.Lang.fn_of_sig fsig) in
-  let rng = Random.State.make [| 123 |] in
-  for _ = 1 to 60 do
-    let b = Bytes.of_string code in
-    let pos = Random.State.int rng (Bytes.length b) in
-    Bytes.set b pos (Char.chr (Random.State.int rng 256));
-    no_exn "bit flip" (fun () -> Sigrec.Recover.recover (Bytes.to_string b))
-  done
+(* [count] copies of [code], each with one byte overwritten at random *)
+let bit_flipped ~seed ~count code =
+  let rng = Random.State.make [| seed |] in
+  List.init count (fun _ ->
+      let b = Bytes.of_string code in
+      let pos = Random.State.int rng (Bytes.length b) in
+      Bytes.set b pos (Char.chr (Random.State.int rng 256));
+      ("bit flip", Bytes.to_string b))
 
-let test_random_bytecode_fuzz () =
+let flipped_contract () =
+  let fsig =
+    Abi.Funsig.make "t"
+      [ Abi.Abity.Uint 64; Abi.Abity.Sarray (Abi.Abity.Bool, 2) ]
+  in
+  bit_flipped ~seed:123 ~count:60
+    (Solc.Compile.compile_fn (Solc.Lang.fn_of_sig fsig))
+
+let random_bytes () =
   let rng = Random.State.make [| 321 |] in
-  for _ = 1 to 60 do
-    let len = 20 + Random.State.int rng 400 in
-    let junk = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-    no_exn "random bytes" (fun () -> Sigrec.Recover.recover junk)
-  done
+  List.init 60 (fun _ ->
+      let len = 20 + Random.State.int rng 400 in
+      ( "random bytes",
+        String.init len (fun _ -> Char.chr (Random.State.int rng 256)) ))
+
+let recovers_all inputs =
+  List.iter
+    (fun (name, code) -> no_exn name (fun () -> Sigrec.Recover.recover code))
+    inputs
+
+(* -- every product ------------------------------------------------------- *)
+
+(* The inputs above plus bit-flipped token and storage-layout contracts,
+   through the layout and classification products and both lints: no
+   exception, and a second fresh engine renders the same answer. *)
+let test_every_product () =
+  let flipped samples =
+    List.concat
+      (List.mapi
+         (fun i code -> bit_flipped ~seed:(1000 + i) ~count:5 code)
+         samples)
+  in
+  let inputs =
+    garbage @ truncated () @ flipped_contract () @ random_bytes ()
+    @ flipped
+        (List.map
+           (fun s -> s.Solc.Corpus.tcode)
+           (Solc.Corpus.token_set ~seed:17 ~n:20))
+    @ flipped
+        (List.map
+           (fun s -> s.Solc.Corpus.lcode)
+           (Solc.Corpus.layout_set ~seed:17 ~n:20))
+  in
+  let fresh () = Sigrec.Engine.make Sigrec.Engine.Config.default in
+  let products =
+    [
+      ( "layout",
+        fun code ->
+          Sigrec.Render.layout_report (Sigrec.Engine.layout (fresh ()) code) );
+      ( "classify",
+        fun code ->
+          Sigrec.Render.classify_report (Sigrec.Engine.classify (fresh ()) code)
+      );
+      ( "lint",
+        fun code ->
+          Sigrec.Json.arr
+            (List.map Sigrec.Render.verdict (Sigrec.Lint.check code)) );
+      ( "layout lint",
+        fun code ->
+          Sigrec.Render.layout_verdict (Sigrec.Lint.check_layout code) );
+    ]
+  in
+  List.iter
+    (fun (name, code) ->
+      List.iter
+        (fun (product, answer) ->
+          match (answer code, answer code) with
+          | first, second ->
+            if first <> second then
+              Alcotest.failf "%s on %s: two fresh runs answer differently"
+                product name
+          | exception e ->
+            Alcotest.failf "%s on %s raised %s" product name
+              (Printexc.to_string e))
+        products)
+    inputs
+
+(* -- tools and the symbolic core ----------------------------------------- *)
 
 let test_interpreter_fuzz () =
   (* the concrete interpreter must also terminate on garbage *)
@@ -64,8 +133,12 @@ let test_interpreter_fuzz () =
 let test_parchecker_fuzz () =
   let rng = Random.State.make [| 987 |] in
   let tys =
-    [ Abi.Abity.Darray (Abi.Abity.Uint 8); Abi.Abity.Bytes;
-      Abi.Abity.Tuple [ Abi.Abity.Darray (Abi.Abity.Uint 256); Abi.Abity.Bool ] ]
+    [
+      Abi.Abity.Darray (Abi.Abity.Uint 8);
+      Abi.Abity.Bytes;
+      Abi.Abity.Tuple
+        [ Abi.Abity.Darray (Abi.Abity.Uint 256); Abi.Abity.Bool ];
+    ]
   in
   for _ = 1 to 120 do
     let len = Random.State.int rng 300 in
@@ -104,12 +177,19 @@ let test_pathological_loops () =
 
 let suite =
   [
-    Alcotest.test_case "garbage inputs" `Quick test_empty_and_garbage;
-    Alcotest.test_case "truncated contracts" `Quick test_truncated_contracts;
-    Alcotest.test_case "bit-flipped contracts" `Quick test_bitflipped_contracts;
-    Alcotest.test_case "random bytecode" `Quick test_random_bytecode_fuzz;
+    Alcotest.test_case "garbage inputs" `Quick (fun () ->
+        recovers_all garbage);
+    Alcotest.test_case "truncated contracts" `Quick (fun () ->
+        recovers_all (truncated ()));
+    Alcotest.test_case "bit-flipped contracts" `Quick (fun () ->
+        recovers_all (flipped_contract ()));
+    Alcotest.test_case "random bytecode" `Quick (fun () ->
+        recovers_all (random_bytes ()));
     Alcotest.test_case "interpreter on junk" `Quick test_interpreter_fuzz;
     Alcotest.test_case "parchecker/decoder on junk" `Quick test_parchecker_fuzz;
     Alcotest.test_case "erays on junk" `Quick test_erays_fuzz;
-    Alcotest.test_case "pathological loops bounded" `Quick test_pathological_loops;
+    Alcotest.test_case "pathological loops bounded" `Quick
+      test_pathological_loops;
+    Alcotest.test_case "every product on hostile input" `Quick
+      test_every_product;
   ]

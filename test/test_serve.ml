@@ -143,7 +143,29 @@ let test_cross_request_cache_hits () =
   Alcotest.(check bool) "metrics cache_hits" true
     (List.mem "sigrec_cache_hits_total 2" metrics);
   Alcotest.(check bool) "metrics request count" true
-    (List.mem "sigrec_serve_requests_total 3" metrics)
+    (List.mem "sigrec_serve_requests_total 3" metrics);
+  (* 180 dataset3 contracts in one request on a pooled engine with a
+     bounded cache: the repeat is answered from it in full *)
+  let t =
+    Sigrec.Serve.create
+      Sigrec.Engine.Config.(
+        default |> with_jobs 2 |> with_cache_capacity 4096)
+  in
+  let codes =
+    List.map
+      (fun s -> s.Solc.Corpus.code)
+      (Solc.Corpus.dataset3 ~seed:20230715 ~n:180)
+  in
+  let (_ : string) = handle t (recover_request codes) in
+  let warm = parse_exn (handle t (recover_request codes)) in
+  Alcotest.(check bool) "180-contract repeat answered from cache" true
+    (List.for_all (( = ) (Sigrec.Json.Bool true)) (from_cache warm));
+  let hits =
+    Sigrec.Stats.cache_hits (Sigrec.Engine.stats (Sigrec.Serve.engine t))
+  in
+  if hits < 180 then
+    Alcotest.failf "%d cross-request cache hits for 180 repeated contracts"
+      hits
 
 (* elapsed_ns is a wall-clock measurement, deliberately excluded from
    the determinism invariant (as it is from pp_report); everything else
@@ -268,6 +290,31 @@ let test_classify_op () =
   in
   Alcotest.(check bool) "repeat answered from verdict cache" true
     (warm_cached = Sigrec.Json.Bool true);
+  (* twelve labeled token contracts: the repeat is answered from the
+     verdict LRU in full *)
+  let tokens =
+    List.filteri (fun i _ -> i < 12)
+      (Solc.Corpus.token_set ~seed:20230723 ~n:60)
+    |> List.map (fun s -> s.Solc.Corpus.tcode)
+  in
+  let t' = default_serve () in
+  let (_ : string) = handle t' (classify_request tokens) in
+  (match
+     Sigrec.Json.to_list_opt
+       (member_exn "classifications"
+          (parse_exn (handle t' (classify_request tokens))))
+   with
+  | Some cs ->
+    Alcotest.(check int) "one verdict per token contract" 12 (List.length cs);
+    Alcotest.(check bool) "token repeat answered from verdict cache" true
+      (List.for_all
+         (fun c -> member_exn "from_cache" c = Sigrec.Json.Bool true)
+         cs)
+  | None -> Alcotest.fail "classifications not a list");
+  Alcotest.(check bool) "verdict cache hits counted" true
+    (Sigrec.Stats.classify_cache_hits
+       (Sigrec.Engine.stats (Sigrec.Serve.engine t'))
+    >= 12);
   (* the metrics op reports the classification counters, live *)
   let metrics = exposition_lines t in
   let counter what sample =
@@ -406,6 +453,60 @@ let test_stream_ends_at_eof () =
       (Option.bind (Sigrec.Json.member "contracts" d) Sigrec.Json.to_int_opt)
   | [] -> Alcotest.fail "no response lines at all"
 
+(* -- line cap ----------------------------------------------------------- *)
+
+(* A line one byte over the 4 MiB cap is answered, or warned about in
+   a stream, and the session goes on. *)
+let test_oversized_lines () =
+  let long = String.make (Sigrec.Input.default_max_line_bytes + 1) '0' in
+  let t = default_serve () in
+  let outcome, lines =
+    run_session t
+      (String.concat "\n"
+         [ {|{"id":1,"op":"ping"}|}; long; {|{"id":2,"op":"ping"}|}; "" ])
+  in
+  Alcotest.(check bool) "request session ends at EOF" true (outcome = `Eof);
+  Alcotest.(check (list string)) "three replies"
+    [
+      {|{"id":1,"ok":true,"pong":true}|};
+      {|{"id":null,"ok":false,"error":"request line exceeds 4194304 bytes"}|};
+      {|{"id":2,"ok":true,"pong":true}|};
+    ]
+    lines;
+  let outcome, lines =
+    run_session t
+      (String.concat "\n"
+         [
+           {|{"id":"s","op":"stream"}|};
+           long;
+           ".";
+           {|{"id":3,"op":"ping"}|};
+           "";
+         ])
+  in
+  Alcotest.(check bool) "stream session ends at EOF" true (outcome = `Eof);
+  match lines with
+  | [ ack; warning; done_line; ping ] ->
+    Alcotest.(check string) "stream acked"
+      {|{"id":"s","ok":true,"streaming":true}|} ack;
+    Alcotest.(check string) "in-band warning"
+      {|{"id":"s","warning":{"line":1,"reason":"line exceeds 4194304 bytes"}}|}
+      warning;
+    let d = parse_exn done_line in
+    List.iter
+      (fun (key, v) ->
+        Alcotest.(check (option int)) ("summary " ^ key) (Some v)
+          (Option.bind (Sigrec.Json.member key d) Sigrec.Json.to_int_opt))
+      [ ("contracts", 0); ("lines", 1); ("skipped", 1) ];
+    Alcotest.(check string) "request mode resumes after the sentinel"
+      {|{"id":3,"ok":true,"pong":true}|} ping;
+    Alcotest.(check int) "oversized stream line counted as skipped" 1
+      (Sigrec.Stats.stream_skipped
+         (Sigrec.Engine.stats (Sigrec.Serve.engine t)))
+  | other ->
+    Alcotest.failf "expected 4 response lines, got %d:\n%s"
+      (List.length other) (String.concat "\n" other)
+
 (* -- bounded LRU ------------------------------------------------------- *)
 
 let test_lru_eviction_bound () =
@@ -509,4 +610,6 @@ let suite =
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     Alcotest.test_case "parse_codes indices" `Quick
       test_parse_codes_indices;
+    Alcotest.test_case "oversized lines answered, session continues" `Quick
+      test_oversized_lines;
   ]

@@ -342,6 +342,18 @@ module Oracle = struct
     | [ _; name; _ ] -> name
     | _ -> assert false
 
+  let rec equal a b =
+    match (a, b) with
+    | Const x, Const y -> U256.equal x y
+    | CDLoad i, CDLoad j -> i = j
+    | CDSize, CDSize -> true
+    | Env x, Env y -> String.equal x y
+    | MemItem (r, x), MemItem (q, y) -> r = q && equal x y
+    | Bin (op, a1, b1), Bin (oq, a2, b2) ->
+      op = oq && equal a1 a2 && equal b1 b2
+    | Un (op, x), Un (oq, y) -> op = oq && equal x y
+    | _ -> false
+
   let rec to_string = function
     | Const v -> "0x" ^ U256.to_hex v
     | CDLoad id -> Printf.sprintf "cd%d" id
@@ -405,12 +417,45 @@ let test_simplifier_matches_oracle () =
       (Sexpr.bin op sa sb, Oracle.bin op oa ob)
     end
   in
-  for i = 1 to 1000 do
-    let s, o = gen 5 in
-    let ss = Sexpr.to_string s and os = Oracle.to_string o in
-    if not (String.equal ss os) then
-      Alcotest.failf "case %d: interned %s <> oracle %s" i ss os
-  done
+  (* plus 240 offset-arithmetic trees in four equality classes, the
+     shape the recorder's event dedup keys on *)
+  let const n = (Sexpr.of_int n, Oracle.Const (U256.of_int n)) in
+  let offset_tree i =
+    let base = 4 + (32 * (i mod 4)) in
+    let s = ref (Sexpr.cdload base) and o = ref (Oracle.CDLoad base) in
+    for k = 1 to 6 do
+      let s32, o32 = const 32 and sk, ok = const (k * 32) in
+      s := Sexpr.bin Sexpr.Badd (Sexpr.bin Sexpr.Bmul !s s32) sk;
+      o := Oracle.bin Sexpr.Badd (Oracle.bin Sexpr.Bmul !o o32) ok
+    done;
+    (Sexpr.un Sexpr.Uiszero !s, Oracle.un Sexpr.Uiszero !o)
+  in
+  let terms =
+    Array.append
+      (Array.init 1000 (fun _ -> gen 5))
+      (Array.init 240 offset_tree)
+  in
+  Array.iteri
+    (fun i (s, o) ->
+      let ss = Sexpr.to_string s and os = Oracle.to_string o in
+      if not (String.equal ss os) then
+        Alcotest.failf "case %d: interned %s <> oracle %s" (i + 1) ss os)
+    terms;
+  (* interned equality, and the node id event dedup keys on, partition
+     the terms exactly as the oracle's structural equality does *)
+  Array.iteri
+    (fun i (s1, o1) ->
+      Array.iteri
+        (fun j (s2, o2) ->
+          let structural = Oracle.equal o1 o2 in
+          if
+            Sexpr.equal s1 s2 <> structural
+            || (Sexpr.id s1 = Sexpr.id s2) <> structural
+          then
+            Alcotest.failf "cases %d and %d: interned equality %b, oracle %b"
+              (i + 1) (j + 1) (Sexpr.equal s1 s2) structural)
+        terms)
+    terms
 
 let test_query_memo_consistency () =
   (* memoized queries must agree with themselves across repeated calls

@@ -1,8 +1,9 @@
 (* The observability layer's contract: free when off, faithful when on.
 
    - Disabled probes allocate nothing and recovery output is
-     byte-identical with tracing on vs off (the drift invariant that
-     lets the instrumentation live in hot paths permanently).
+     byte-identical with tracing, or metrics, on vs off (the drift
+     invariant that lets the instrumentation live in hot paths
+     permanently).
    - The Chrome exporter emits the trace_event shapes Perfetto loads;
      the JSONL exporter keeps a stable key order.
    - One clock: a span's ring duration and its metrics observation are
@@ -25,25 +26,38 @@ let token () =
       Abi.Funsig.make "balanceOf" [ Address ];
     ]
 
-let render code =
+let render codes =
   String.concat "\n"
     (List.map
        (Format.asprintf "%a" Sigrec.Engine.pp_report)
        (Sigrec.Engine.recover_all
           (Sigrec.Engine.make
              Sigrec.Engine.Config.(default |> with_jobs 1))
-          [ code ]))
+          codes))
 
-(* tracing on vs off must not change a single output byte *)
+(* tracing on vs off, and metrics on vs off, must not change a single
+   output byte — on one token contract and on the 32-contract dataset3
+   corpora the bench times each layer's overhead on *)
 let on_off_identical () =
-  let code = token () in
-  Tr.disable ();
-  let off = render code in
-  Tr.enable ();
-  let on = render code in
-  Tr.disable ();
-  Tr.reset ();
-  Alcotest.(check string) "rendered reports identical" off on
+  let dataset3 seed =
+    List.map (fun s -> s.Solc.Corpus.code) (Solc.Corpus.dataset3 ~seed ~n:32)
+  in
+  List.iter
+    (fun (what, codes, enable, disable) ->
+      Tr.disable ();
+      Mx.disable ();
+      let off = render codes in
+      enable ();
+      let on = render codes in
+      disable ();
+      Tr.reset ();
+      Mx.reset ();
+      Alcotest.(check string) (what ^ ": rendered reports identical") off on)
+    [
+      ("tracing", [ token () ], (fun () -> Tr.enable ()), Tr.disable);
+      ("tracing", dataset3 20230713, (fun () -> Tr.enable ()), Tr.disable);
+      ("metrics", dataset3 20230717, Mx.enable, Mx.disable);
+    ]
 
 (* a disabled probe is one atomic load and a branch: zero words *)
 let disabled_path_allocates_nothing () =
@@ -56,7 +70,7 @@ let disabled_path_allocates_nothing () =
   probe 0;
   (* warm *)
   let m0 = Gc.minor_words () in
-  for i = 1 to 100_000 do
+  for i = 1 to 10_000_000 do
     probe i
   done;
   let words = Gc.minor_words () -. m0 in
