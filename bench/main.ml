@@ -1011,7 +1011,7 @@ let serve_scaling () =
   let n = 180 in
   let codes = codes_of (Solc.Corpus.dataset3 ~seed:(seed + 11) ~n) in
   let hw = Stdlib.max 1 (Domain.recommended_domain_count ()) in
-  (* warm the pool (domain spawn + interner snapshot adoption) untimed:
+  (* warm the pool (domain spawn + the workers' first analyses) untimed:
      a resident daemon pays this once at startup *)
   let jobs_n = Stdlib.max 2 hw in
   ignore (Sigrec.Engine.recover_all (engine_with ~jobs:jobs_n ()) codes);

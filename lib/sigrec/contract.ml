@@ -55,16 +55,6 @@ let absint_for t ~entry =
     Hashtbl.replace t.absint_cache entry r;
     r
 
-let of_hex hex = make (Evm.Hex.decode hex)
-
-let of_input input =
-  let trimmed = String.trim input in
-  if Evm.Hex.is_valid trimmed then of_hex trimmed else make input
-
-let code t = t.code
-let code_hash t = t.code_hash
 let code_hash_hex t = Evm.Hex.encode t.code_hash
 let entries t = t.entries
-let function_count t = List.length t.entries
 let static t = t.static
-let jumps_resolved t = t.unresolved_before - t.unresolved_after

@@ -35,25 +35,12 @@ val make : ?hash:string -> string -> t
     when the caller already holds it, must be [hash_of_code code]; it
     saves hashing the bytecode a second time. *)
 
-val of_hex : string -> t
-(** Decode a hex string (optional ["0x"] prefix) first. *)
-
-val of_input : string -> t
-(** Accept either hex or raw bytecode, as the CLI does: valid hex is
-    decoded, anything else is treated as raw bytes. *)
-
 val hash_of_code : string -> string
 (** The cache key: 32-byte Keccak-256 of the raw bytecode. *)
 
-val code : t -> string
-val code_hash : t -> string
 val code_hash_hex : t -> string
 val entries : t -> Ids.entry list
-val function_count : t -> int
-
 val static : t -> Sigrec_static.Absint.result
-val jumps_resolved : t -> int
-(** How many [Unresolved] edges the static pass turned concrete. *)
 
 val absint_for : t -> entry:int -> Sigrec_static.Absint.result
 (** The depth-1 abstract-interpretation run from a function entry,

@@ -150,7 +150,7 @@ let analyze_uncounted ~cfg ~stats ~hash code =
     let lift_ns = Tr.now_ns () - lift0 in
     let outcomes =
       List.map
-        (fun { Ids.selector; entry_pc; entry_stack_depth = _ } ->
+        (fun { Ids.selector; entry_pc } ->
           (* wall clock per function, measured whether or not tracing is
              on: one clock pair against milliseconds of work *)
           let ns0 = Tr.now_ns () in

@@ -1,104 +1,33 @@
 open Evm
 module Sexpr = Symex.Sexpr
 
-type entry = { selector : string; entry_pc : int; entry_stack_depth : int }
+type entry = { selector : string; entry_pc : int }
 
-(* Primary extraction: symbolic execution of the dispatcher. The
-   selector is whatever the contract computes from the first call-data
-   word; every branch whose condition compares that expression against
-   a 4-byte constant is a dispatch decision, and the equal branch leads
-   to the function body. This is robust to junk instructions and
-   constant re-encodings, because it looks at the executed comparison,
-   not the instruction text (the same philosophy as TASE itself). *)
-let extract_symbolic program =
-  let budget =
-    { Symex.Exec.default_budget with Symex.Exec.max_paths = 256 }
-  in
-  let trace =
-    Symex.Exec.run_prepared ~budget program ~entry:0 ~init_stack:[] ()
-  in
-  (* the selector expression derives from the load at offset 0 *)
-  let selector_load_ids =
-    List.filter_map
-      (fun (l : Symex.Trace.load) ->
-        match Sexpr.to_const_int l.Symex.Trace.loc with
-        | Some 0 -> Some l.Symex.Trace.id
-        | _ -> None)
-      trace.Symex.Trace.loads
-  in
-  let is_selector_expr e =
-    List.exists (fun id -> Sexpr.mentions_load e id) selector_load_ids
-    && Sexpr.to_const e = None
-  in
-  let out = ref [] in
-  Hashtbl.iter
-    (fun pc conds ->
-      match Hashtbl.find_opt trace.Symex.Trace.jumpi_targets pc with
-      | None -> ()
-      | Some target ->
-        List.iter
-          (fun cond ->
-            let core, iszeros = Sexpr.iszero_depth cond in
-            match Sexpr.node core with
-            | Sexpr.Bin (Sexpr.Beq, a, b) when iszeros mod 2 = 0 -> (
-              let id_of e =
-                match Sexpr.to_const e with
-                | Some v when U256.bits v <= 32 ->
-                  Some (String.sub (U256.to_bytes_be v) 28 4)
-                | _ -> None
-              in
-              match (id_of a, id_of b, a, b) with
-              | Some id, None, _, e when is_selector_expr e ->
-                out := (pc, id, target) :: !out
-              | None, Some id, e, _ when is_selector_expr e ->
-                out := (pc, id, target) :: !out
-              | _ -> ())
-            | _ -> ())
-          conds)
-    trace.Symex.Trace.jumpi_conds;
-  (* dispatch order = ascending JUMPI pc *)
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) !out
-  |> List.map (fun (_, selector, target) ->
-         { selector; entry_pc = target; entry_stack_depth = 1 })
+(* The function id a selector comparison tests: an EQ, under an even
+   number of ISZEROs, of a constant of at most 32 bits and a non-constant
+   expression that [is_selector] accepts. *)
+let selector_id ~is_selector cond =
+  let core, iszeros = Sexpr.iszero_depth cond in
+  match Sexpr.node core with
+  | Sexpr.Bin (Sexpr.Beq, a, b) when iszeros mod 2 = 0 -> (
+    let id_of e =
+      match Sexpr.to_const e with
+      | Some v when U256.bits v <= 32 ->
+        Some (String.sub (U256.to_bytes_be v) 28 4)
+      | _ -> None
+    in
+    let selector e = Sexpr.to_const e = None && is_selector e in
+    match (id_of a, id_of b) with
+    | Some id, None when selector b -> Some id
+    | None, Some id when selector a -> Some id
+    | _ -> None)
+  | _ -> None
 
-(* Fallback: the static compare-and-jump idioms
-     DUP1; PUSH4 id; EQ; PUSH2 t; JUMPI
-     PUSH4 id; DUP2; EQ; PUSH2 t; JUMPI
-   — cheap and sufficient for unobfuscated compiler output. *)
-let extract_static program =
-  let instrs = Array.of_list (Symex.Exec.instructions program) in
-  let n = Array.length instrs in
-  let op i = if i < n then Some instrs.(i).Disasm.op else None in
-  let out = ref [] in
-  let push4 = function
-    | Some (Opcode.PUSH (4, v)) -> Some (String.sub (U256.to_bytes_be v) 28 4)
-    | _ -> None
-  in
-  let push_target = function
-    | Some (Opcode.PUSH (_, v)) -> U256.to_int v
-    | _ -> None
-  in
-  for i = 0 to n - 1 do
-    match op i with
-    | Some (Opcode.DUP 1) -> (
-      match (push4 (op (i + 1)), op (i + 2)) with
-      | Some sel, Some Opcode.EQ -> (
-        match (push_target (op (i + 3)), op (i + 4)) with
-        | Some target, Some Opcode.JUMPI -> out := (sel, target) :: !out
-        | _ -> ())
-      | _ -> ())
-    | Some (Opcode.PUSH (4, _)) -> (
-      match (push4 (op i), op (i + 1), op (i + 2)) with
-      | Some sel, Some (Opcode.DUP 2), Some Opcode.EQ -> (
-        match (push_target (op (i + 3)), op (i + 4)) with
-        | Some target, Some Opcode.JUMPI -> out := (sel, target) :: !out
-        | _ -> ())
-      | _ -> ())
-    | _ -> ()
-  done;
-  List.rev !out
-  |> List.map (fun (selector, target) ->
-         { selector; entry_pc = target; entry_stack_depth = 1 })
+(* The equal arm of a comparison against call data leads into a function
+   body, so the dispatcher run stops there and only goes on down the
+   fall-through arm to the next comparison. *)
+let stop_taken cond =
+  selector_id ~is_selector:(fun e -> Sexpr.loads_of e <> []) cond <> None
 
 let dedup entries =
   let seen = Hashtbl.create 16 in
@@ -111,12 +40,48 @@ let dedup entries =
       end)
     entries
 
+(* Symbolic execution of the dispatcher. The selector is whatever the
+   contract computes from the first call-data word; every branch whose
+   condition compares that expression against a 4-byte constant is a
+   dispatch decision, and the equal branch leads to the function body.
+   This is robust to junk instructions and constant re-encodings,
+   because it looks at the executed comparison, not the instruction
+   text (the same philosophy as TASE itself). *)
 let extract_prepared program =
-  let static = dedup (extract_static program) in
-  let symbolic = dedup (extract_symbolic program) in
-  (* prefer the richer result: obfuscation defeats the static idioms,
-     while plain compiler output yields identical answers from both *)
-  if List.length symbolic > List.length static then symbolic else static
+  let budget =
+    { Symex.Exec.default_budget with Symex.Exec.max_paths = 256 }
+  in
+  let trace =
+    Symex.Exec.run_prepared ~budget ~stop_taken program ~entry:0
+      ~init_stack:[] ()
+  in
+  (* the selector expression derives from the load at offset 0 *)
+  let selector_load_ids =
+    List.filter_map
+      (fun (l : Symex.Trace.load) ->
+        match Sexpr.to_const_int l.Symex.Trace.loc with
+        | Some 0 -> Some l.Symex.Trace.id
+        | _ -> None)
+      trace.Symex.Trace.loads
+  in
+  let is_selector e = List.exists (Sexpr.mentions_load e) selector_load_ids in
+  let out = ref [] in
+  Hashtbl.iter
+    (fun pc conds ->
+      match Hashtbl.find_opt trace.Symex.Trace.jumpi_targets pc with
+      | None -> ()
+      | Some target ->
+        List.iter
+          (fun cond ->
+            match selector_id ~is_selector cond with
+            | Some id -> out := (pc, id, target) :: !out
+            | None -> ())
+          conds)
+    trace.Symex.Trace.jumpi_conds;
+  (* dispatch order = ascending JUMPI pc *)
+  List.sort (fun (a, _, _) (b, _, _) -> compare a b) !out
+  |> List.map (fun (_, selector, entry_pc) -> { selector; entry_pc })
+  |> dedup
 
 let extract bytecode = extract_prepared (Symex.Exec.prepare bytecode)
 

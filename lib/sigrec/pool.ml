@@ -4,10 +4,10 @@
    join them at the end; at sub-second batch sizes the spawn cost (and
    each new domain rebuilding its expression interner from cold)
    dominated the fan-out and made jobs>=2 *slower* than sequential. The
-   pool spawns a worker domain once, hands it a warm-interner snapshot
-   from the spawning domain, and keeps it alive for the life of the
-   process — so a resident [sigrec serve] daemon (or a test suite, or a
-   bench loop) pays the spawn and warm-up cost once, not per batch.
+   pool spawns a worker domain once and keeps it alive, interner
+   included, for the life of the process — so a resident [sigrec serve]
+   daemon (or a test suite, or a bench loop) pays the spawn and warm-up
+   cost once, not per batch.
 
    The pool is deliberately global rather than per-engine: OCaml caps
    live domains (Domain.spawn fails past ~128), and engines are cheap
@@ -57,37 +57,29 @@ let worker_count = ref 0
 
 let workers () = Mutex.protect lock (fun () -> !worker_count)
 
-let worker_main warm () =
-  (* Seed this domain's interner from the spawner's snapshot before the
-     first task: the worker's first analyses then reuse nodes instead of
-     rebuilding the common expression population from cold. *)
-  Symex.Sexpr.adopt warm;
-  let rec loop () =
-    Mutex.lock lock;
-    while Queue.is_empty queue do
-      Condition.wait work_available lock
-    done;
-    let task = Queue.pop queue in
-    Mutex.unlock lock;
-    if task.queued_ns <> 0 && Mx.enabled () then
-      Mx.observe (Lazy.force queue_wait_hist) (Tr.now_ns () - task.queued_ns);
-    (try task.run ()
-     with e ->
-       Mutex.lock task.batch.bm;
-       if task.batch.failed = None then task.batch.failed <- Some e;
-       Mutex.unlock task.batch.bm);
-    Mutex.lock task.batch.bm;
-    task.batch.remaining <- task.batch.remaining - 1;
-    if task.batch.remaining = 0 then Condition.broadcast task.batch.bcv;
-    Mutex.unlock task.batch.bm;
-    loop ()
-  in
-  loop ()
+let rec worker_main () =
+  Mutex.lock lock;
+  while Queue.is_empty queue do
+    Condition.wait work_available lock
+  done;
+  let task = Queue.pop queue in
+  Mutex.unlock lock;
+  if task.queued_ns <> 0 && Mx.enabled () then
+    Mx.observe (Lazy.force queue_wait_hist) (Tr.now_ns () - task.queued_ns);
+  (try task.run ()
+   with e ->
+     Mutex.lock task.batch.bm;
+     if task.batch.failed = None then task.batch.failed <- Some e;
+     Mutex.unlock task.batch.bm);
+  Mutex.lock task.batch.bm;
+  task.batch.remaining <- task.batch.remaining - 1;
+  if task.batch.remaining = 0 then Condition.broadcast task.batch.bcv;
+  Mutex.unlock task.batch.bm;
+  worker_main ()
 
 (* Grow the pool to [n] workers (within the cap). Safe to call from any
    domain; spawning happens outside the pool lock so running workers
-   keep draining the queue meanwhile. The snapshot is captured once per
-   call, after we know at least one spawn is needed. *)
+   keep draining the queue meanwhile. *)
 let ensure n =
   let target = Stdlib.min n max_workers in
   let missing =
@@ -96,14 +88,11 @@ let ensure n =
         if missing > 0 then worker_count := target;
         missing)
   in
-  if missing > 0 then begin
-    let warm = Symex.Sexpr.snapshot () in
-    for _ = 1 to missing do
-      (* workers live for the rest of the process; their Domain.t
-         handles are never joined, so don't keep them *)
-      ignore (Domain.spawn (worker_main warm) : unit Domain.t)
-    done
-  end
+  (* workers live for the rest of the process; their Domain.t handles
+     are never joined, so don't keep them *)
+  for _ = 1 to missing do
+    ignore (Domain.spawn worker_main : unit Domain.t)
+  done
 
 let submit tasks =
   let now = if Mx.enabled () then Tr.now_ns () else 0 in

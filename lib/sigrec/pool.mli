@@ -1,9 +1,8 @@
 (** Process-wide pool of reusable worker domains.
 
     Replaces per-batch [Domain.spawn] in {!Engine.recover_all}: workers
-    are spawned once (seeded with a warm expression-interner snapshot
-    from the spawning domain, {!Symex.Sexpr.adopt}) and then persist
-    for the life of the process, so a resident service pays domain
+    are spawned once and then persist for the life of the process, each
+    with its own expression interner, so a resident service pays domain
     startup and interner warm-up once rather than on every request.
 
     The pool is global: all engines share it, which keeps the number of

@@ -23,7 +23,7 @@ let of_infer ~selector ~entry_pc (result : Infer.result) =
 
 let recover_contract ?stats ?config ?static_prune ?budget contract =
   List.map
-    (fun { Ids.selector; entry_pc; entry_stack_depth = _ } ->
+    (fun { Ids.selector; entry_pc } ->
       of_infer ~selector ~entry_pc
         (Infer.infer ?stats ?config ?static_prune ?budget ~contract
            ~entry:entry_pc ()))

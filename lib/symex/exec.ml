@@ -167,8 +167,8 @@ let prepare code =
 let code p = p.code
 let instructions p = p.instrs
 
-let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
-    ~entry ~init_stack () =
+let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None)
+    ?(stop_taken = fun _ -> false) program ~entry ~init_stack () =
   let r = Stdlib.Domain.DLS.get recorder_key in
   reset_recorder r;
   let t0 = if Tr.enabled () then Tr.now_ns () else 0 in
@@ -443,6 +443,10 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
               | _ -> ());
               match Sexpr.eval_concrete cond with
               | Some v -> if not (U256.is_zero v) then pc := t
+              | None when stop_taken cond ->
+                (* the caller stops at this comparison: only the
+                   fall-through arm goes on *)
+                ()
               | None -> (
                 match prune cur_pc with
                 | Some decision ->

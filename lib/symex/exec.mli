@@ -36,6 +36,7 @@ val instructions : program -> Evm.Disasm.instruction list
 val run_prepared :
   ?budget:budget ->
   ?prune:(int -> prune_decision option) ->
+  ?stop_taken:(Sexpr.t -> bool) ->
   program ->
   entry:int ->
   init_stack:Sexpr.t list ->
@@ -44,7 +45,12 @@ val run_prepared :
 (** Explore from [entry] without re-disassembling. [prune] is consulted
     at each JUMPI whose condition stays symbolic; a decision makes the
     executor follow that single arm (counted in
-    [Trace.forks_pruned]) instead of forking. *)
+    [Trace.forks_pruned]) instead of forking. [stop_taken] is asked
+    first, with the condition: when it holds, the path goes on down the
+    fall-through arm only and the taken arm is never explored. The
+    condition and target are recorded either way. The dispatcher run
+    uses it to stop at each selector comparison instead of executing
+    the function body behind it. *)
 
 val run :
   ?budget:budget ->

@@ -70,6 +70,3 @@ let find_or_add t k build = find_in t k build t.buckets.(index t k)
 let length t = t.size
 let hits t = t.hits
 let misses t = t.misses
-
-let iter_values f t =
-  Array.iter (List.iter (fun (_, v) -> f v)) t.buckets

@@ -33,7 +33,3 @@ val hits : ('k, 'v) t -> int
 
 val misses : ('k, 'v) t -> int
 (** Lookups that had to build a fresh value. *)
-
-val iter_values : ('v -> unit) -> ('k, 'v) t -> unit
-(** Apply [f] to every interned value, in unspecified order. Backs
-    {!Sexpr.snapshot}; [f] must not intern into the table. *)

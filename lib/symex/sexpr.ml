@@ -122,34 +122,6 @@ let interner_size () =
   Hc.length it.consts + Hc.length it.cdloads + Hc.length it.envs
   + Hc.length it.mems + Hc.length it.bins + Hc.length it.uns + 1
 
-(* -- interner snapshots -------------------------------------------------
-
-   A snapshot is a read-only view of one domain's interned nodes, in
-   interning order. Nodes are immutable, so the array can be shared
-   freely across domains; a fresh worker replays it through its own
-   interner ([adopt]) and starts warm instead of rebuilding every node
-   from cold during its first analyses. Children always precede their
-   parents (a node's operands are interned before the node itself), so
-   a single left-to-right pass can rebuild the whole table. *)
-
-type snapshot = t array
-
-let snapshot () =
-  let it = interner () in
-  let nodes = ref [ it.cdsize_node ] in
-  let push v = nodes := v :: !nodes in
-  Hc.iter_values push it.consts;
-  Hc.iter_values push it.cdloads;
-  Hc.iter_values push it.envs;
-  Hc.iter_values push it.mems;
-  Hc.iter_values push it.bins;
-  Hc.iter_values push it.uns;
-  let arr = Array.of_list !nodes in
-  Array.sort (fun a b -> Stdlib.compare a.id b.id) arr;
-  arr
-
-let snapshot_size = Array.length
-
 (* -- interning smart constructors --------------------------------------
 
    The build functions are closed (capture nothing), so [Hc.find_or_add]
@@ -203,31 +175,6 @@ let build_un (op, a) ~id =
 let intern_un op a =
   let it = interner () in
   Hc.find_or_add it.uns (op, a) build_un
-
-(* Replay a snapshot into the current domain's interner. The raw
-   [intern_*] constructors are used (not [bin]/[un]): snapshot nodes are
-   already post-simplification shapes and must be reproduced literally.
-   [map] translates origin ids to local nodes; children precede parents
-   in the array, so each operand is already mapped when its parent is
-   replayed. Adopting is idempotent — replaying nodes the local interner
-   already holds just counts hits. *)
-let adopt (snap : snapshot) =
-  let map = Hashtbl.create (2 * Array.length snap) in
-  Array.iter
-    (fun t0 ->
-      let local =
-        match t0.node with
-        | Const v -> const v
-        | CDLoad i -> cdload i
-        | CDSize -> cdsize ()
-        | Env name -> env name
-        | MemItem (rid, off) -> mem_item rid (Hashtbl.find map off.id)
-        | Bin (op, a, b) ->
-          intern_bin op (Hashtbl.find map a.id) (Hashtbl.find map b.id)
-        | Un (op, a) -> intern_un op (Hashtbl.find map a.id)
-      in
-      Hashtbl.replace map t0.id local)
-    snap
 
 let eval_bin op a b =
   match op with

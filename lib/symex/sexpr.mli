@@ -81,28 +81,6 @@ val interner_counters : unit -> int * int
 val interner_size : unit -> int
 (** Number of live interned nodes in the current domain. *)
 
-(** {1 Warm-interner handoff}
-
-    A freshly spawned domain starts with an empty interner and pays a
-    miss (an allocation) for every node its first analyses build. A
-    {!snapshot} captures one domain's interned nodes as a read-only
-    array — nodes are immutable, so sharing the array across domains is
-    safe — and {!adopt} replays it into the adopting domain's own
-    tables, so pooled workers start warm. *)
-
-type snapshot
-
-val snapshot : unit -> snapshot
-(** Capture the current domain's interned nodes, in interning order. *)
-
-val snapshot_size : snapshot -> int
-
-val adopt : snapshot -> unit
-(** Replay [snapshot] into the current domain's interner. Idempotent;
-    replays preserve node shapes exactly (no re-simplification), so
-    recovery output is unaffected. Counts one interner miss per node
-    not already present locally. *)
-
 (** {1 Structural queries used by the inference rules}
 
     The recursive queries are memoized per node id in the domain's

@@ -63,9 +63,9 @@ let test_ensure_is_monotone_and_capped () =
     (Pool.workers () <= Pool.max_workers)
 
 let test_worker_interner_adopted () =
-  (* the worker's domain-local interner is seeded from the spawner's
-     snapshot, so interning the same expression on a pooled domain
-     yields a structurally equal (and locally hash-consed) node *)
+  (* each worker interns into its own domain-local table, so building
+     the same expression on a pooled domain yields a structurally equal
+     (and locally hash-consed) node that renders the same *)
   Pool.ensure 1;
   let open Symex in
   let mk () = Sexpr.bin Sexpr.Badd (Sexpr.cdload 4) (Sexpr.of_int 32) in

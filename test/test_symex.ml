@@ -509,6 +509,51 @@ let test_invalid_jump_targets_end_path () =
   check "JUMPI to the end" (jumpi 14) ~paths:1 ~loads:1;
   check "JUMPI past the end" (jumpi 0xff) ~paths:1 ~loads:1
 
+(* A dispatcher comparison: the selector from the first call-data word
+   against a 4-byte id, and a jump to the body when they are equal.
+   [stop_taken] holding at that JUMPI leaves the fall-through path
+   only, with the condition and target still recorded; without it the
+   run forks into the body as well. *)
+let test_stop_taken_follows_fallthrough () =
+  let code =
+    Asm.assemble
+      Asm.[
+        Op (Opcode.push 0); Op Opcode.CALLDATALOAD;
+        Op (Opcode.push 0xe0); Op Opcode.SHR;
+        Op (Opcode.PUSH (4, U256.of_int 0xa9059cbb)); Op Opcode.EQ;
+        Push_label "body";
+        Op Opcode.JUMPI;
+        Op Opcode.STOP;
+        Label "body";
+        Op (Opcode.push 4); Op Opcode.CALLDATALOAD; Op Opcode.POP;
+        Op Opcode.STOP;
+      ]
+  in
+  let offset_of op =
+    (List.find (fun i -> i.Disasm.op = op) (Disasm.disassemble code))
+      .Disasm.offset
+  in
+  let jumpi = offset_of Opcode.JUMPI and body = offset_of Opcode.JUMPDEST in
+  let is_eq c =
+    match Sexpr.node c with Sexpr.Bin (Sexpr.Beq, _, _) -> true | _ -> false
+  in
+  let program = Symex.Exec.prepare code in
+  let run ?stop_taken () =
+    Symex.Exec.run_prepared ?stop_taken program ~entry:0 ~init_stack:[] ()
+  in
+  let stopped = run ~stop_taken:is_eq () in
+  Alcotest.(check int) "stopped: one path" 1 stopped.Trace.paths_explored;
+  Alcotest.(check int) "stopped: the body's load never runs" 1
+    (List.length stopped.Trace.loads);
+  Alcotest.(check (option int)) "stopped: target recorded" (Some body)
+    (Hashtbl.find_opt stopped.Trace.jumpi_targets jumpi);
+  Alcotest.(check (list bool)) "stopped: condition recorded" [ true ]
+    (List.map is_eq (Trace.conds_at stopped jumpi));
+  let full = run () in
+  Alcotest.(check int) "no predicate: two paths" 2 full.Trace.paths_explored;
+  Alcotest.(check int) "no predicate: the body loads too" 2
+    (List.length full.Trace.loads)
+
 let suite =
   [
     Alcotest.test_case "load recorded" `Quick test_load_recorded;
@@ -535,4 +580,6 @@ let suite =
       test_query_memo_consistency;
     Alcotest.test_case "invalid jump targets end the path" `Quick
       test_invalid_jump_targets_end_path;
+    Alcotest.test_case "stop_taken follows the fall-through arm" `Quick
+      test_stop_taken_follows_fallthrough;
   ]
